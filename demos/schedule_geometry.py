@@ -28,8 +28,9 @@ def main():
     print("curvature along the trajectory from x0=(1,0) to eps=(0,1):")
     for kind in ("linear", "trigonometric", "polynomial"):
         schedule = make_schedule(kind)
-        kappas = [curvature(schedule, x0, eps, t).kappa
-                  for t in (0.25, 0.5, 0.75)]
+        t = np.array([0.25, 0.5, 0.75])
+        kappas = curvature(schedule.da(t), schedule.db(t), schedule.dda(t),
+                           schedule.ddb(t), x0, eps)
         report = schedule_diagnostics(schedule, grid, [(x0, eps)])
         print("  %-14s kappa(0.25, 0.5, 0.75) = %s   det integral = %.4f"
               % (kind, np.round(kappas, 4), report.determinant_integral))

@@ -7,20 +7,17 @@ rectified flow as the zero-residual special case.
 
 from .datagen import (DatasetSpec, export_csv, generate, generate_split,
                       sample_noise)
-from .engine import (GradientMap, ParameterSet, Tensor, backward,
-                     evaluate_with_gradients, finite_difference_gradient,
-                     merge_params)
+from .engine import (ParameterSet, Tensor, backward, evaluate_with_gradients,
+                     finite_difference_gradient, merge_params)
 from .losses import (LossReport, curve_fm_loss, determinant_profile,
-                     robust_curvature_loss, total_loss)
-from .metrics import (EvalReport, energy_distance, schedule_diagnostics,
-                      sliced_wasserstein)
+                     robust_curvature_loss)
+from .metrics import (EvalReport, cross_magnitude, curvature, energy_distance,
+                      schedule_diagnostics, sliced_wasserstein)
 from .sampling import SolverConfig, integrate, sample_batch
 from .schedules import (CoefficientSchedule, DerivativeGrid, GridSpec,
                         LinearSchedule, NeuralSchedule, PolynomialSchedule,
                         TrigSchedule, grid_derivatives, make_schedule,
                         pointwise_derivatives)
-from .trajectory import (CurvaturePoint, cross_magnitude, curvature,
-                         interpolate, speed_squared, target_velocity)
 from .training import (OptimizerState, TrainConfig, adamw_step, lr_at,
                        sample_timestep, train)
 from .velocity import VelocityField

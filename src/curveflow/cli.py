@@ -17,8 +17,9 @@ import numpy as np
 from . import datagen, losses, metrics, svgplot
 from .config import (Checkpoint, ExperimentConfig, config_to_dict,
                      load_checkpoint, load_config, save_checkpoint)
-from .engine import (evaluate_with_gradients, finite_difference_gradient,
-                     max_relative_error, merge_params)
+from .engine import (ParameterSet, evaluate_with_gradients,
+                     finite_difference_gradient, max_relative_error,
+                     merge_params)
 from .errors import (CheckpointError, ConfigError, DegenerateTrajectoryError,
                      DivergenceError)
 from .sampling import SolverConfig, sample_batch
@@ -38,9 +39,8 @@ def _fmt(x):
 
 def build_schedule(config):
     sc = config.schedule
-    if sc.kind == "neural":
-        return NeuralSchedule(hidden=sc.hidden, embed=sc.embed, seed=sc.seed)
-    return make_schedule(sc.kind)
+    return make_schedule(sc.kind, hidden=sc.hidden, embed=sc.embed,
+                         seed=sc.seed)
 
 
 def build_model(config, dim=2):
@@ -146,9 +146,28 @@ def _load_config_with_overrides(args):
     return config.validate()
 
 
+def load_run(path):
+    """A checkpoint with its model and schedule, holding the trained weights.
+
+    Raises CheckpointError if the parameter names or shapes do not fit the
+    model and schedule sections of the checkpoint's config.
+    """
+    ckpt = load_checkpoint(path)
+    model = build_model(ckpt.config)
+    schedule = build_schedule(ckpt.config)
+    if not ckpt.params.congruent_with(merge_params(model.params,
+                                                   schedule.params)):
+        raise CheckpointError(
+            "checkpoint %s: parameter names or shapes do not fit the model "
+            "and schedule sections of its config" % path)
+    model.params = _subset(ckpt.params, "v/")
+    schedule.params = _subset(ckpt.params, ("a/", "b/"))
+    return ckpt, model, schedule
+
+
 def cmd_sample(args):
     try:
-        ckpt = load_checkpoint(args.checkpoint)
+        ckpt, model, _ = load_run(args.checkpoint)
     except CheckpointError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
@@ -162,8 +181,6 @@ def cmd_sample(args):
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    model = build_model(config)
-    model.params = _subset(ckpt.params, "v/")
     seed = args.seed if args.seed is not None else config.metrics.seed
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
@@ -183,7 +200,6 @@ def cmd_sample(args):
 
 
 def _subset(params, prefix):
-    from .engine import ParameterSet
     return ParameterSet({n: a for n, a in params.items()
                          if n.startswith(prefix)})
 
@@ -195,15 +211,8 @@ def cmd_analyze(args):
         return EXIT_INVALID
     try:
         if args.checkpoint:
-            ckpt = load_checkpoint(args.checkpoint)
+            ckpt, _, schedule = load_run(args.checkpoint)
             config = ckpt.config
-            schedule = build_schedule(config)
-            if isinstance(schedule, NeuralSchedule):
-                sched_params = {n: a for n, a in ckpt.params.items()
-                                if n.startswith(("a/", "b/"))}
-                if sched_params:
-                    from .engine import ParameterSet
-                    schedule.params = ParameterSet(sched_params)
         else:
             config = ExperimentConfig()
             schedule = make_schedule(args.schedule)
@@ -251,10 +260,12 @@ def cmd_compare(args):
         variants.append(("curveflow_lam_%g" % lam, "neural", lam,
                          config.train.timestep_sampler))
 
+    # every variant gets a row, so a diverged one is not dropped silently
+    diverged = []
     results_path = os.path.join(outdir, "results.csv")
     with open(results_path, "w") as fh:
         fh.write("variant,lambda,energy_distance,sliced_wasserstein,"
-                 "determinant_integral\n")
+                 "determinant_integral,status\n")
         for name, kind, lam, sampler in variants:
             vcfg = copy.deepcopy(config)
             vcfg.schedule.kind = kind
@@ -265,8 +276,11 @@ def cmd_compare(args):
                 report, _ = evaluate_model(vcfg, schedule, model, held_out)
             except DivergenceError as exc:
                 print("variant %s diverged: %s" % (name, exc), file=sys.stderr)
+                diverged.append(name)
+                fh.write("%s,%s,,,,diverged\n" % (name, _fmt(lam)))
+                fh.flush()
                 continue
-            fh.write("%s,%s,%s,%s,%s\n"
+            fh.write("%s,%s,%s,%s,%s,ok\n"
                      % (name, _fmt(lam), _fmt(report.energy_distance),
                         _fmt(report.sliced_wasserstein),
                         _fmt(report.determinant_integral)))
@@ -274,6 +288,9 @@ def cmd_compare(args):
             print("%s: energy=%.4f sliced_w=%.4f det_integral=%.6f"
                   % (name, report.energy_distance, report.sliced_wasserstein,
                      report.determinant_integral))
+    if diverged:
+        print("diverged variants: %s" % ", ".join(diverged), file=sys.stderr)
+        return EXIT_DIVERGED
     return EXIT_OK
 
 
@@ -285,9 +302,7 @@ def gradcheck(seed=0, corrupt=False):
     rng = np.random.Generator(np.random.Philox(key=seed))
     dim, batch = 2, 4
     schedule = NeuralSchedule(hidden=8, embed=8, seed=seed)
-    schedule.params = schedule.params.copy()
     # perturb all schedule weights so the residual nets are active
-    from .engine import ParameterSet
     schedule.params = ParameterSet({
         n: a + 0.1 * rng.standard_normal(a.shape)
         for n, a in schedule.params.items()})
@@ -310,8 +325,7 @@ def gradcheck(seed=0, corrupt=False):
         bad = g_ad.as_dict()
         name = sorted(bad)[0]
         bad[name] = bad[name] + 1e-2
-        from .engine import GradientMap
-        g_ad = GradientMap(bad)
+        g_ad = ParameterSet(bad)
     return max_relative_error(g_ad, g_fd)
 
 

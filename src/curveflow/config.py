@@ -6,6 +6,7 @@ reproduces every 64-bit value exactly. Unknown config fields are rejected.
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,9 +178,18 @@ def save_checkpoint(path, ckpt):
             "v": {n: a.tolist() for n, a in state.v.items()},
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    # write a sibling file and rename it over ``path``, so a failed write
+    # leaves the previous checkpoint intact instead of a truncated one
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

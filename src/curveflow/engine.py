@@ -1,14 +1,17 @@
 """Reverse-mode differentiation over named parameter collections.
 
 A deliberately small tape: enough primitives for MLPs and the losses built
-on them (add, multiply, divide, matmul, affine, tanh, SiLU, square, sum,
-mean, sqrt, reciprocal, plus reshape/concat plumbing). All arithmetic is
-float64. Every operation checks its result for finiteness, so a NaN/inf
-surfaces as an error naming the primitive that produced it.
+on them (add, multiply, divide, matmul, tanh, SiLU, square, sum, plus
+reshape/concat plumbing). All arithmetic is float64. Every operation
+checks its result for finiteness, so a NaN/inf surfaces as an error naming
+the primitive that produced it.
 
-The generic helpers (``tanh``, ``silu`` ...) dispatch on type, so the same
-forward code runs on plain ndarrays (used by the finite-difference oracle)
-and on tape nodes (used for gradients).
+The generic helpers (``tanh``, ``silu``, ``square``) dispatch on type, so
+the same forward code runs on plain ndarrays (used by the
+finite-difference oracle) and on tape nodes (used for gradients). Tensors
+opt out of numpy's ufunc protocol (NEP 13), so ``ndarray (op) Tensor``
+goes to the Tensor's reflected operator and ``np.sin(Tensor)`` raises
+``TypeError`` instead of escaping the tape.
 """
 
 import numpy as np
@@ -16,12 +19,6 @@ import numpy as np
 
 class EngineError(Exception):
     pass
-
-
-class UnsupportedPrimitiveError(EngineError):
-    def __init__(self, name):
-        super().__init__("unsupported primitive: %s" % name)
-        self.primitive = name
 
 
 class NonFiniteError(EngineError):
@@ -70,10 +67,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def ndim(self):
-        return self.value.ndim
-
     # -- primitives ------------------------------------------------------
 
     def tanh(self):
@@ -90,28 +83,10 @@ class Tensor:
         x = self.value
         return Tensor(x * x, "square", (self,), (lambda g: g * (2.0 * x),))
 
-    def sqrt(self):
-        if np.any(self.value < 0):
-            raise NonFiniteError("sqrt")
-        y = np.sqrt(self.value)
-        return Tensor(y, "sqrt", (self,), (lambda g: g / (2.0 * y),))
-
-    def reciprocal(self):
-        x = self.value
-        with np.errstate(divide="ignore"):
-            y = 1.0 / x
-        return Tensor(y, "reciprocal", (self,),
-                      (lambda g: -g / (x * x),))
-
     def sum(self):
         x = self.value
         return Tensor(x.sum(), "sum", (self,),
                       (lambda g: np.broadcast_to(g, x.shape),))
-
-    def mean(self):
-        x = self.value
-        return Tensor(x.mean(), "mean", (self,),
-                      (lambda g: np.broadcast_to(g / x.size, x.shape),))
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], tuple):
@@ -153,22 +128,9 @@ class Tensor:
     def __rmatmul__(self, other):
         return matmul(other, self)
 
-    def __pow__(self, exponent):
-        if exponent == 2:
-            return self.square()
-        if exponent == 0.5:
-            return self.sqrt()
-        raise UnsupportedPrimitiveError("pow(%r)" % (exponent,))
-
-    # numpy ufunc hook: route the supported ufuncs through the tape and
-    # reject everything else with a named error.
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs.get("out") is not None:
-            raise UnsupportedPrimitiveError(ufunc.__name__)
-        handler = _UFUNC_HANDLERS.get(ufunc)
-        if handler is None:
-            raise UnsupportedPrimitiveError(ufunc.__name__)
-        return handler(*inputs)
+    # NEP 13: numpy defers ``ndarray (op) Tensor`` to the reflected
+    # operators above and refuses to apply ufuncs to a Tensor.
+    __array_ufunc__ = None
 
     def __repr__(self):
         return "Tensor(op=%s, shape=%s)" % (self.op, self.value.shape)
@@ -251,11 +213,6 @@ def concat(a, b, axis=-1):
                   (lambda g: take(g, 0, na), lambda g: take(g, na, None)))
 
 
-def affine(x, w, b):
-    """x @ w + b."""
-    return matmul(x, w) + b
-
-
 # generic (ndarray | Tensor) math helpers -------------------------------
 
 def tanh(x):
@@ -270,27 +227,9 @@ def square(x):
     return x.square() if isinstance(x, Tensor) else np.square(x)
 
 
-def sqrt(x):
-    return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)
-
-
 def value_of(x):
     """Detach: plain ndarray (or scalar) view of a Tensor or array."""
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=float)
-
-
-_UFUNC_HANDLERS = {
-    np.add: add,
-    np.subtract: lambda a, b: add(a, multiply(b, -1.0)),
-    np.multiply: multiply,
-    np.true_divide: divide,
-    np.negative: lambda a: multiply(a, -1.0),
-    np.matmul: matmul,
-    np.tanh: lambda a: _lift(a).tanh(),
-    np.sqrt: lambda a: _lift(a).sqrt(),
-    np.square: lambda a: _lift(a).square(),
-    np.reciprocal: lambda a: _lift(a).reciprocal(),
-}
 
 
 def backward(out):
@@ -367,10 +306,6 @@ class ParameterSet:
                         for n in self._entries))
 
 
-class GradientMap(ParameterSet):
-    """Gradient arrays, name/shape congruent with their ParameterSet."""
-
-
 def merge_params(*sets):
     merged = {}
     for pset in sets:
@@ -382,7 +317,9 @@ def merge_params(*sets):
 
 
 def evaluate_with_gradients(loss_fn, params):
-    """Forward-evaluate ``loss_fn`` and return (value, GradientMap).
+    """Forward-evaluate ``loss_fn`` and return (value, gradients).
+
+    The gradients are a ParameterSet congruent with ``params``.
 
     ``loss_fn`` receives a mapping name -> Tensor leaf and must return a
     scalar Tensor built from supported primitives.
@@ -396,7 +333,7 @@ def evaluate_with_gradients(loss_fn, params):
     for name, leaf in leaves.items():
         g = leaf.grad
         grads[name] = np.zeros_like(leaf.value) if g is None else np.asarray(g, float)
-    return float(out.value), GradientMap(grads)
+    return float(out.value), ParameterSet(grads)
 
 
 def finite_difference_gradient(loss_fn, params, step=1e-5):
@@ -418,7 +355,7 @@ def finite_difference_gradient(loss_fn, params, step=1e-5):
             flat[i] = keep
             gflat[i] = (hi - lo) / (2.0 * step)
         grads[name] = g
-    return GradientMap(grads)
+    return ParameterSet(grads)
 
 
 def max_relative_error(g1, g2, floor=1e-4):

@@ -1,4 +1,4 @@
-"""Flow-matching data loss, robust curvature regularizer, and total loss.
+"""Flow-matching data loss and robust curvature regularizer.
 
 The data term is a weighted mean over the batch of the squared (summed
 over dimensions) error between the velocity field and the schedule's
@@ -45,20 +45,8 @@ class LossReport:
 
 
 def as_batch(batch):
-    """Normalize a batch to (x0, eps, t) arrays.
-
-    Accepts either a 3-tuple of arrays or a sequence of (x0, eps, t)
-    triples.
-    """
-    if isinstance(batch, tuple) and len(batch) == 3:
-        x0, eps, t = batch
-    else:
-        items = list(batch)
-        if not items:
-            raise ConfigError("empty batch")
-        x0 = np.stack([np.asarray(s[0], float) for s in items])
-        eps = np.stack([np.asarray(s[1], float) for s in items])
-        t = np.asarray([float(s[2]) for s in items])
+    """Normalize a 3-tuple (x0, eps, t) to float arrays of matching rows."""
+    x0, eps, t = batch
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -70,18 +58,16 @@ def as_batch(batch):
     return x0, eps, t
 
 
-def _default_params(model, schedule):
-    return merge_params(model.params, schedule.params).as_dict()
-
-
-def curve_fm_loss(batch, model, schedule, params=None, h=1e-3,
-                  detach_target=False):
+def curve_fm_loss(batch, model, schedule, params=None, detach_target=False):
     """Schedule-weighted mean squared velocity-matching error over the batch.
 
     Row i is weighted by w_i = ((1 - t_i)^2 + t_i^2) / (a(t_i)^2 + b(t_i)^2)
     (see the module docstring), so the loss is invariant to rescaling the
     schedule by a smooth s(t). The weight is computed by true division, so
     it is exactly 1.0 on the linear schedule and on a zeroed neural one.
+    The target uses the schedule's own first derivatives: closed forms, or
+    for the neural schedule a clamped difference of fixed step 1e-3 that
+    does not depend on the regularizer's grid.
 
     When ``params`` holds engine Tensors the result is a Tensor and
     gradients flow to the model and, through z_t, the target and the
@@ -90,14 +76,14 @@ def curve_fm_loss(batch, model, schedule, params=None, h=1e-3,
     """
     x0, eps, t = as_batch(batch)
     if params is None:
-        params = _default_params(model, schedule)
+        params = merge_params(model.params, schedule.params).as_dict()
     a = schedule.a(t, params)
     b = schedule.b(t, params)
     z = a.reshape(-1, 1) * x0 + b.reshape(-1, 1) * eps
     tgt_params = params
     if detach_target:
         tgt_params = {n: value_of(p) for n, p in params.items()}
-    da, db = pointwise_derivatives(schedule, t, h=h, params=tgt_params)
+    da, db = pointwise_derivatives(schedule, t, params=tgt_params)
     u = da.reshape(-1, 1) * x0 + db.reshape(-1, 1) * eps
     v = model(z, t, params)
     diff = v - u
@@ -112,37 +98,22 @@ def determinant_profile(deriv_grid):
             - deriv_grid.db * deriv_grid.dda)
 
 
-def robust_curvature_loss(schedule, grid, lam, params=None, exact=False):
+def robust_curvature_loss(schedule, grid, lam, params=None):
     """lambda * dt * sum of squared determinants over the interior grid."""
     if lam < 0:
         raise ConfigError("lambda must be >= 0, got %g" % lam)
     if lam == 0:
         return 0.0
-    dg = grid_derivatives(schedule, grid, exact=exact, params=params)
+    dg = grid_derivatives(schedule, grid, params=params)
     d = determinant_profile(dg)
     loss = (lam * grid.dt) * square(d).sum()
     return loss if isinstance(loss, engine.Tensor) else float(loss)
 
 
 def total_loss_graph(batch, model, schedule, grid, lam, params,
-                     h=None, detach_target=False):
+                     detach_target=False):
     """(fm, regularizer) terms, Tensors when ``params`` holds Tensors."""
-    if h is None:
-        h = grid.dt
-    fm = curve_fm_loss(batch, model, schedule, params=params, h=h,
+    fm = curve_fm_loss(batch, model, schedule, params=params,
                        detach_target=detach_target)
     reg = robust_curvature_loss(schedule, grid, lam, params=params)
     return fm, reg
-
-
-def total_loss(batch, model, schedule, grid, lam, params=None, step=0,
-               detach_target=False):
-    """Numeric LossReport for one batch (no gradients)."""
-    if params is None:
-        params = _default_params(model, schedule)
-    fm, reg = total_loss_graph(batch, model, schedule, grid, lam, params,
-                               detach_target=detach_target)
-    fm = float(value_of(fm))
-    reg = float(value_of(reg))
-    return LossReport(step=step, fm_loss=fm, curvature_loss=reg,
-                      total=fm + reg, lam=lam)

@@ -2,9 +2,17 @@
 
 Energy distance and sliced Wasserstein stand in for featurizer-based image
 metrics: both are exact on 2D point clouds and need no pretrained models.
+
+The curvature of the interpolant trajectory z(t) = a(t) x0 + b(t) eps is
+
+    kappa(t) = |da ddb - db dda| * ||x0 x eps|| / speed^3
+
+with speed^2 = da^2 ||x0||^2 + 2 da db (x0 . eps) + db^2 ||eps||^2. The
+cross-product magnitude is taken in the n-dimensional sense via the
+Lagrange identity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -12,9 +20,9 @@ from scipy.spatial.distance import cdist
 from .errors import ConfigError, DegenerateTrajectoryError, ShapeError
 from .losses import determinant_profile
 from .schedules import grid_derivatives
-from .trajectory import SPEED_EPS, cross_magnitude
 
 MAX_PAIRWISE = 5000  # above this, pairwise sums use a seeded subsample
+SPEED_EPS = 1e-18  # below this, the curvature denominator is treated as zero
 
 
 @dataclass
@@ -79,6 +87,32 @@ def sliced_wasserstein(a, b, projections=64, seed=0, directions=None):
     return float(np.abs(pa - pb).mean())
 
 
+def cross_magnitude(x0, eps):
+    """||x0 x eps|| in n dimensions: sqrt(|x0|^2 |eps|^2 - (x0.eps)^2)."""
+    g = (x0 @ x0) * (eps @ eps) - (x0 @ eps) ** 2
+    return float(np.sqrt(max(g, 0.0)))
+
+
+def curvature(da, db, dda, ddb, x0, eps):
+    """Trajectory curvature kappa from the schedule derivatives.
+
+    ``da`` .. ``ddb`` are scalars or equal-shape arrays over t; the result
+    has their shape. Raises DegenerateTrajectoryError if the speed
+    vanishes at any t, where the curvature is undefined.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    if x0.shape != eps.shape:
+        raise ShapeError("x0 and eps must share a shape, got %s vs %s"
+                         % (x0.shape, eps.shape))
+    sp2 = (da * da * (x0 @ x0) + 2.0 * da * db * (x0 @ eps)
+           + db * db * (eps @ eps))
+    if np.any(sp2 < SPEED_EPS):
+        raise DegenerateTrajectoryError(
+            "trajectory speed vanishes (min speed^2=%g)" % np.min(sp2))
+    return np.abs(da * ddb - db * dda) * cross_magnitude(x0, eps) / sp2 ** 1.5
+
+
 def schedule_diagnostics(schedule, grid, sample_pairs, exact=None):
     """Determinant integral and mean curvature profile over the grid.
 
@@ -91,17 +125,12 @@ def schedule_diagnostics(schedule, grid, sample_pairs, exact=None):
     det = np.asarray(determinant_profile(dg), dtype=float)
     integral = float(grid.dt * np.sum(det * det))
 
-    da = np.asarray(dg.da, dtype=float)
-    db = np.asarray(dg.db, dtype=float)
     profiles = []
     for x0, eps in sample_pairs:
-        x0 = np.asarray(x0, dtype=float)
-        eps = np.asarray(eps, dtype=float)
-        sp2 = (da * da * (x0 @ x0) + 2.0 * da * db * (x0 @ eps)
-               + db * db * (eps @ eps))
-        if np.any(sp2 < SPEED_EPS):
+        try:
+            profiles.append(curvature(dg.da, dg.db, dg.dda, dg.ddb, x0, eps))
+        except DegenerateTrajectoryError:
             continue
-        profiles.append(np.abs(det) * cross_magnitude(x0, eps) / sp2 ** 1.5)
     if sample_pairs and not profiles:
         raise DegenerateTrajectoryError("all sample pairs are degenerate")
     profile = (np.mean(profiles, axis=0) if profiles

@@ -63,7 +63,6 @@ class DerivativeGrid:
     db: object
     dda: object
     ddb: object
-    grid: GridSpec
 
 
 def _check_domain(t):
@@ -74,7 +73,7 @@ def _check_domain(t):
 
 
 class CoefficientSchedule:
-    """Base class; subclasses provide a(t) and b(t)."""
+    """Base class; subclasses provide a(t), b(t) and their first derivatives."""
 
     kind = "abstract"
     has_exact_derivatives = False
@@ -89,23 +88,8 @@ class CoefficientSchedule:
         raise NotImplementedError
 
     def first_derivatives(self, t, h=1e-3, params=None):
-        """(da/dt, db/dt) at t; clamped finite differences by default."""
-        t = _check_domain(t)
-        tp = np.minimum(t + h, 1.0)
-        tm = np.maximum(t - h, 0.0)
-        denom = tp - tm
-        da = (self.a(tp, params) - self.a(tm, params)) / denom
-        db = (self.b(tp, params) - self.b(tm, params)) / denom
-        return da, db
-
-    def second_derivatives(self, t, h=1e-3, params=None):
-        """(d2a/dt2, d2b/dt2) at t; central stencil shifted off the ends."""
-        t = _check_domain(t)
-        c = np.clip(t, h, 1.0 - h)
-        cp, cm = c + h, c - h
-        dda = (self.a(cp, params) - 2.0 * self.a(c, params) + self.a(cm, params)) / (h * h)
-        ddb = (self.b(cp, params) - 2.0 * self.b(c, params) + self.b(cm, params)) / (h * h)
-        return dda, ddb
+        """(da/dt, db/dt) at t; ``h`` is the step of a finite difference."""
+        raise NotImplementedError
 
 
 class _AnalyticSchedule(CoefficientSchedule):
@@ -114,10 +98,6 @@ class _AnalyticSchedule(CoefficientSchedule):
     def first_derivatives(self, t, h=1e-3, params=None):
         t = _check_domain(t)
         return self.da(t), self.db(t)
-
-    def second_derivatives(self, t, h=1e-3, params=None):
-        t = _check_domain(t)
-        return self.dda(t), self.ddb(t)
 
 
 class LinearSchedule(_AnalyticSchedule):
@@ -188,23 +168,6 @@ class PolynomialSchedule(_AnalyticSchedule):
         return 2.0 * np.ones_like(np.asarray(t, dtype=float))
 
     ddb = dda
-
-
-class CustomSchedule(CoefficientSchedule):
-    """Test stub: arbitrary callables for a and b (no parameters)."""
-
-    kind = "custom"
-
-    def __init__(self, a_fn, b_fn):
-        super().__init__()
-        self._a_fn = a_fn
-        self._b_fn = b_fn
-
-    def a(self, t, params=None):
-        return self._a_fn(_check_domain(t))
-
-    def b(self, t, params=None):
-        return self._b_fn(_check_domain(t))
 
 
 class NeuralSchedule(CoefficientSchedule):
@@ -278,18 +241,6 @@ class NeuralSchedule(CoefficientSchedule):
                     - self.residual_term("b", tm, params)) * inv
         return da, db
 
-    def second_derivatives(self, t, h=1e-3, params=None):
-        t = np.atleast_1d(_check_domain(t))
-        c = np.clip(t, h, 1.0 - h)
-        inv = 1.0 / (h * h)
-        dda = (self.residual_term("a", c + h, params)
-               - 2.0 * self.residual_term("a", c, params)
-               + self.residual_term("a", c - h, params)) * inv
-        ddb = (self.residual_term("b", c + h, params)
-               - 2.0 * self.residual_term("b", c, params)
-               + self.residual_term("b", c - h, params)) * inv
-        return dda, ddb
-
 
 _KINDS = {
     "linear": LinearSchedule,
@@ -305,14 +256,6 @@ def make_schedule(kind, **kwargs):
         return _KINDS[kind]()
     except KeyError:
         raise ConfigError("unknown schedule kind %r" % kind) from None
-
-
-def eval_a(schedule, t, params=None):
-    return schedule.a(t, params)
-
-
-def eval_b(schedule, t, params=None):
-    return schedule.b(t, params)
 
 
 def pointwise_derivatives(schedule, t, h=1e-3, params=None):
@@ -337,7 +280,7 @@ def grid_derivatives(schedule, grid, exact=False, params=None):
                               % schedule.kind)
         ti = grid.interior
         return DerivativeGrid(schedule.da(ti), schedule.db(ti),
-                              schedule.dda(ti), schedule.ddb(ti), grid)
+                              schedule.dda(ti), schedule.ddb(ti))
     am = schedule.a(nodes[:-2], params)
     a0 = schedule.a(nodes[1:-1], params)
     ap = schedule.a(nodes[2:], params)
@@ -351,5 +294,4 @@ def grid_derivatives(schedule, grid, exact=False, params=None):
         (bp - bm) * inv2,
         (ap - 2.0 * a0 + am) * invsq,
         (bp - 2.0 * b0 + bm) * invsq,
-        grid,
     )

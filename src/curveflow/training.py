@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (NonFiniteError, ParameterSet, Tensor, backward,
-                     merge_params)
+                     merge_params, value_of)
 from .errors import ConfigError, DivergenceError, NonFiniteInputError
 from .losses import LossReport, total_loss_graph
 from .schedules import GridSpec
@@ -162,8 +162,7 @@ def train(config, dataset, schedule, model):
                 fm, reg = total_loss_graph((x0, eps, t), model, schedule, grid,
                                            config.lam, leaves,
                                            detach_target=config.detach_target)
-                tot = fm + reg if isinstance(reg, Tensor) or config.lam > 0 else fm
-                backward(tot if isinstance(tot, Tensor) else fm)
+                backward(fm + reg)
             except (NonFiniteError, NonFiniteInputError) as exc:
                 raise DivergenceError("loss evaluation failed at step %d: %s"
                                       % (step, exc), step=step, params=params,
@@ -184,8 +183,8 @@ def train(config, dataset, schedule, model):
                 exc.history = history
                 raise
 
-            fm_val = float(fm.value if isinstance(fm, Tensor) else fm)
-            reg_val = float(reg.value if isinstance(reg, Tensor) else reg)
+            fm_val = float(value_of(fm))
+            reg_val = float(value_of(reg))
             history.append(LossReport(step=step, fm_loss=fm_val,
                                       curvature_loss=reg_val,
                                       total=fm_val + reg_val,
@@ -194,8 +193,7 @@ def train(config, dataset, schedule, model):
 
     # push the trained arrays back into the owning objects
     model.params = ParameterSet({name: params[name] for name in model.params})
-    if len(schedule.params):
-        schedule.params = ParameterSet({name: params[name]
-                                        for name in schedule.params})
+    schedule.params = ParameterSet({name: params[name]
+                                    for name in schedule.params})
     return TrainResult(params=params, opt_state=state, history=history,
                        steps=step)

@@ -62,5 +62,3 @@ class VelocityField:
         if single:
             return out.reshape(self.dim)
         return out
-
-    forward = __call__

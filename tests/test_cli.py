@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from curveflow import cli
-from curveflow.config import (ExperimentConfig, config_from_dict,
-                              config_to_dict, load_checkpoint, save_config)
+from curveflow import cli, config
+from curveflow.config import (config_from_dict, config_to_dict,
+                              load_checkpoint, save_checkpoint, save_config)
 from curveflow.errors import CheckpointError, ConfigError
 from curveflow.velocity import VelocityField
 
@@ -133,6 +133,56 @@ def test_checkpoint_version_mismatch(tmp_path):
     assert "format_version" in str(exc.value)
 
 
+def _edited_checkpoint(tmp_path, section, field, value):
+    path = _trained_checkpoint(tmp_path)
+    doc = json.loads(open(path).read())
+    doc["config"][section][field] = value
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(doc))
+    return str(bad)
+
+
+def test_sample_rejects_checkpoint_that_does_not_fit_config(tmp_path, capsys):
+    bad = _edited_checkpoint(tmp_path, "model", "hidden", 32)
+    assert cli.main(["sample", "--checkpoint", bad,
+                     "--out", str(tmp_path / "x")]) == 2
+    assert "do not fit" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "samples.csv").exists()
+
+
+def test_analyze_rejects_checkpoint_that_does_not_fit_config(tmp_path, capsys):
+    bad = _edited_checkpoint(tmp_path, "schedule", "hidden", 16)
+    assert cli.main(["analyze", "--checkpoint", bad,
+                     "--out", str(tmp_path / "x")]) == 2
+    assert "do not fit" in capsys.readouterr().err
+    # a neural checkpoint without its schedule parameters is rejected too,
+    # rather than analysing a fresh, untrained schedule
+    doc = json.loads(open(_trained_checkpoint(tmp_path)).read())
+    doc["params"] = {n: a for n, a in doc["params"].items()
+                     if n.startswith("v/")}
+    stripped = tmp_path / "stripped.json"
+    stripped.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--checkpoint", str(stripped),
+                     "--out", str(tmp_path / "y")]) == 2
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    path = _trained_checkpoint(tmp_path)
+    before = open(path, "rb").read()
+    ckpt = load_checkpoint(path)
+
+    def failing_dump(doc, fh):
+        fh.write('{"format_version": 1, "params": {')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(config.json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        save_checkpoint(path, ckpt)
+    assert open(path, "rb").read() == before
+    assert sorted(p.name for p in (tmp_path / "trained").iterdir()) == \
+        ["checkpoint.json", "history.csv", "run_manifest.json"]
+
+
 def test_checkpoint_truncated(tmp_path):
     path = _trained_checkpoint(tmp_path)
     data = open(path).read()[:100]
@@ -180,10 +230,28 @@ def test_compare_writes_all_variants(tmp_path):
     assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "results.csv").read_text().splitlines()
     assert rows[0] == ("variant,lambda,energy_distance,sliced_wasserstein,"
-                       "determinant_integral")
+                       "determinant_integral,status")
     names = [r.split(",")[0] for r in rows[1:]]
     assert names == ["rf_uniform", "rf_logit_normal",
                      "curveflow_lam_0", "curveflow_lam_0.01"]
+    assert all(r.split(",")[-1] == "ok" for r in rows[1:])
+
+
+def test_compare_reports_diverged_variants(tmp_path):
+    cfg = write_config(tmp_path, small_config(base_lr=1e18, epochs=2))
+    out = tmp_path / "cmp"
+    with np.errstate(all="ignore"):
+        assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 3
+    rows = [r.split(",") for r in
+            (out / "results.csv").read_text().splitlines()[1:]]
+    # every variant keeps its row; diverged ones carry no metrics
+    assert [r[0] for r in rows] == ["rf_uniform", "rf_logit_normal",
+                                    "curveflow_lam_0", "curveflow_lam_0.01"]
+    assert all(len(r) == 6 for r in rows)
+    assert any(r[5] == "diverged" for r in rows)
+    for r in rows:
+        assert r[5] in ("ok", "diverged")
+        assert (r[2:5] == ["", "", ""]) == (r[5] == "diverged")
 
 
 def test_compare_empty_grid(tmp_path):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from curveflow.engine import (GradientMap, NonFiniteError, ParameterSet,
-                              Tensor, UnsupportedPrimitiveError, affine,
-                              backward, concat, evaluate_with_gradients,
+from curveflow.engine import (NonFiniteError, ParameterSet, Tensor, concat,
+                              evaluate_with_gradients,
                               finite_difference_gradient, max_relative_error,
-                              merge_params, silu, tanh)
+                              merge_params, silu, square, tanh)
 
 
 def test_square_value_and_gradient():
@@ -24,10 +23,10 @@ def test_product_rule():
 
 
 def _mlp_loss(p):
-    h = tanh(affine(p["in"], p["w0"], p["b0"]))
-    h = tanh(affine(h, p["w1"], p["b1"]))
-    out = affine(h, p["w2"], p["b2"])
-    return out.square().sum()
+    h = tanh(p["in"] @ p["w0"] + p["b0"])
+    h = tanh(h @ p["w1"] + p["b1"])
+    out = h @ p["w2"] + p["b2"]
+    return square(out).sum()
 
 
 def _random_mlp_params(rng, n_in=10, hidden=6):
@@ -56,11 +55,8 @@ def test_mlp_gradient_matches_finite_differences():
     ("multiply", lambda x: (x * 2.5).sum()),
     ("tanh", lambda x: tanh(x).sum()),
     ("silu", lambda x: silu(x).sum()),
-    ("square", lambda x: np.square(x).sum()),
-    ("reciprocal", lambda x: np.reciprocal(x * x + 1.0).sum()),
+    ("square", lambda x: square(x).sum()),
     ("divide", lambda x: (x / (x * x + 1.0) + 2.0 / (x * x + 2.0)).sum()),
-    ("sqrt", lambda x: ((x * x + 1.0) ** 0.5).sum()),
-    ("mean", lambda x: (x * x).mean()),
 ])
 def test_primitive_gradients_vs_finite_differences(name, fn):
     # >= 100 random draws across the parametrized primitives
@@ -103,32 +99,50 @@ def test_cubic_finite_difference():
 
 def test_finite_difference_exact_on_quadratics():
     for h in (1e-2, 1e-4, 1e-6):
-        g = finite_difference_gradient(lambda p: p["x"].square() if isinstance(p["x"], Tensor) else np.square(p["x"]),
+        g = finite_difference_gradient(lambda p: square(p["x"]),
                                        ParameterSet({"x": 3.0}), step=h)
         assert abs(g["x"] - 6.0) < 1e-7
 
 
 def test_unsupported_primitive_rejected():
-    x = Tensor(1.0)
-    with pytest.raises(UnsupportedPrimitiveError):
+    # a numpy ufunc or operator the tape does not record must not silently
+    # turn a Tensor into a plain array
+    x = Tensor(np.ones(3))
+    with pytest.raises(TypeError):
         np.sin(x)
-    with pytest.raises(UnsupportedPrimitiveError):
+    with pytest.raises(TypeError):
+        np.square(x)
+    with pytest.raises(TypeError):
         x ** 3
 
 
+def test_ndarray_operands_use_reflected_operators():
+    # ndarray (op) Tensor is deferred to the Tensor, which records the
+    # primitive with the ndarray lifted to a constant
+    a = np.array([2.0, 4.0])
+    x = Tensor(np.array([1.0, 2.0]))
+    for out, op, value in ((a + x, "add", [3.0, 6.0]),
+                           (a - x, "add", [1.0, 2.0]),
+                           (a * x, "multiply", [2.0, 8.0]),
+                           (a / x, "divide", [2.0, 2.0]),
+                           (a @ x, "matmul", 10.0)):
+        assert isinstance(out, Tensor)
+        assert out.op == op
+        assert np.array_equal(out.value, value)
+
+
 def test_non_finite_intermediate_names_primitive():
-    x = Tensor(0.0)
-    with pytest.raises(NonFiniteError) as exc:
-        x.reciprocal()
-    assert exc.value.primitive == "reciprocal"
+    x = Tensor(1e200)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as exc:
+        x.square()
+    assert exc.value.primitive == "square"
 
 
 def test_division_is_true_division():
     # 49 * (1 / 49) rounds to 1 - 2^-53; on the tape, as in numpy, x / x
     # must stay exactly 1 whichever way the division is spelled
     x = np.arange(1.0, 100.0)
-    for q in (Tensor(x) / Tensor(x), Tensor(x) / x, x / Tensor(x),
-              np.true_divide(x, Tensor(x))):
+    for q in (Tensor(x) / Tensor(x), Tensor(x) / x, x / Tensor(x)):
         assert q.op == "divide"
         assert np.all(q.value == 1.0)
     with pytest.raises(NonFiniteError) as exc:
@@ -150,9 +164,9 @@ def test_matmul_shapes_and_gradients():
     params = ParameterSet({"a": rng.standard_normal((3, 4)),
                            "b": rng.standard_normal((4, 2)),
                            "v": rng.standard_normal(4)})
-    loss = lambda p: (np.square(p["a"] @ p["b"]).sum()
-                      + np.square(p["a"] @ p["v"]).sum()
-                      + np.square(p["v"] @ p["b"]).sum())
+    loss = lambda p: (square(p["a"] @ p["b"]).sum()
+                      + square(p["a"] @ p["v"]).sum()
+                      + square(p["v"] @ p["b"]).sum())
     _, g_ad = evaluate_with_gradients(loss, params)
     g_fd = finite_difference_gradient(loss, params, step=1e-5)
     err, _ = max_relative_error(g_ad, g_fd)
@@ -163,7 +177,7 @@ def test_concat_gradient():
     rng = np.random.default_rng(4)
     params = ParameterSet({"a": rng.standard_normal((2, 3)),
                            "b": rng.standard_normal((2, 2))})
-    loss = lambda p: np.square(concat(p["a"], p["b"], axis=1)).sum()
+    loss = lambda p: square(concat(p["a"], p["b"], axis=1)).sum()
     _, g_ad = evaluate_with_gradients(loss, params)
     g_fd = finite_difference_gradient(loss, params, step=1e-5)
     err, _ = max_relative_error(g_ad, g_fd)
@@ -174,7 +188,7 @@ def test_broadcasting_gradients():
     rng = np.random.default_rng(5)
     params = ParameterSet({"s": rng.standard_normal(3),
                            "m": rng.standard_normal((4, 3))})
-    loss = lambda p: np.square(p["m"] * p["s"] + p["s"]).sum()
+    loss = lambda p: square(p["m"] * p["s"] + p["s"]).sum()
     _, g_ad = evaluate_with_gradients(loss, params)
     g_fd = finite_difference_gradient(loss, params, step=1e-5)
     err, _ = max_relative_error(g_ad, g_fd)
@@ -195,5 +209,7 @@ def test_merge_params_rejects_duplicates():
 def test_gradient_map_congruent():
     params = ParameterSet({"x": np.zeros((2, 3)), "y": 1.0})
     _, g = evaluate_with_gradients(lambda p: p["x"].sum() + p["y"], params)
-    assert isinstance(g, GradientMap)
+    assert isinstance(g, ParameterSet)
     assert g.congruent_with(params)
+    assert not g.congruent_with(ParameterSet({"x": np.zeros((3, 2)), "y": 1.0}))
+    assert not g.congruent_with(ParameterSet({"x": np.zeros((2, 3))}))

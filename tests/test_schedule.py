@@ -3,12 +3,40 @@ import pytest
 
 from curveflow.engine import ParameterSet
 from curveflow.errors import ConfigError, DomainError
-from curveflow.schedules import (CustomSchedule, GridSpec, LinearSchedule,
-                                 NeuralSchedule, PolynomialSchedule,
-                                 TrigSchedule, grid_derivatives,
-                                 make_schedule, pointwise_derivatives)
+from curveflow.schedules import (CoefficientSchedule, GridSpec,
+                                 LinearSchedule, NeuralSchedule,
+                                 PolynomialSchedule, TrigSchedule,
+                                 grid_derivatives, make_schedule,
+                                 pointwise_derivatives)
 
 HALF_PI = np.pi / 2
+
+
+class CustomSchedule(CoefficientSchedule):
+    """Test stub: callables for a, b and their exact first derivatives."""
+
+    kind = "custom"
+
+    def __init__(self, a_fn, b_fn, da_fn, db_fn):
+        super().__init__()
+        self._a_fn, self._b_fn = a_fn, b_fn
+        self._da_fn, self._db_fn = da_fn, db_fn
+
+    def a(self, t, params=None):
+        return self._a_fn(np.asarray(t, dtype=float))
+
+    def b(self, t, params=None):
+        return self._b_fn(np.asarray(t, dtype=float))
+
+    def first_derivatives(self, t, h=1e-3, params=None):
+        t = np.asarray(t, dtype=float)
+        return self._da_fn(t), self._db_fn(t)
+
+
+def quadratic_stub():
+    """a = 1 - t, b = t^2: second differences are exact, determinant -2."""
+    return CustomSchedule(lambda t: 1.0 - t, lambda t: t ** 2,
+                          lambda t: -np.ones_like(t), lambda t: 2.0 * t)
 
 
 def random_neural(seed, scale=0.5):
@@ -77,12 +105,6 @@ def test_pointwise_derivatives_trig_midpoint():
     assert abs(float(da) - (-1.110721)) < 1e-6
 
 
-def test_central_difference_exact_on_quadratic_stub():
-    stub = CustomSchedule(lambda t: 1.0 - t, lambda t: t ** 2)
-    _, db = pointwise_derivatives(stub, np.array([0.5]), h=1e-3)
-    assert abs(db[0] - 1.0) < 1e-12
-
-
 def test_grid_spec_validation():
     with pytest.raises(ConfigError):
         GridSpec(3)
@@ -101,8 +123,7 @@ def test_grid_derivatives_linear():
 
 
 def test_grid_second_difference_exact_on_quadratic():
-    stub = CustomSchedule(lambda t: 1.0 - t, lambda t: t ** 2)
-    dg = grid_derivatives(stub, GridSpec(20))
+    dg = grid_derivatives(quadratic_stub(), GridSpec(20))
     assert np.allclose(dg.ddb, 2.0, atol=1e-8)
 
 

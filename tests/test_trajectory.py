@@ -1,28 +1,22 @@
+"""Geometry of interpolant trajectories: metrics.curvature and its parts."""
+
 import numpy as np
 import pytest
 
 from curveflow.errors import DegenerateTrajectoryError, ShapeError
-from curveflow.schedules import LinearSchedule, TrigSchedule
-from curveflow.trajectory import (cross_magnitude, curvature, interpolate,
-                                  speed_squared, target_velocity)
+from curveflow.metrics import cross_magnitude, curvature
+from curveflow.schedules import (GridSpec, LinearSchedule, TrigSchedule,
+                                 grid_derivatives, pointwise_derivatives)
 from test_schedule import random_neural
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 
 
-def test_interpolate_boundaries_and_midpoint():
-    lin = LinearSchedule()
-    x0 = np.array([2.0, -1.0])
-    eps = np.array([0.5, 3.0])
-    assert np.array_equal(interpolate(lin, x0, eps, 0.0), x0)
-    assert np.array_equal(interpolate(lin, x0, eps, 1.0), eps)
-    assert np.array_equal(interpolate(lin, E1, E2, 0.5), np.array([0.5, 0.5]))
-
-
-def test_interpolate_shape_mismatch():
-    with pytest.raises(ShapeError):
-        interpolate(LinearSchedule(), np.zeros(2), np.zeros(3), 0.5)
+def kappa(schedule, x0, eps, t):
+    """Curvature at t of an analytic schedule, from its closed forms."""
+    return curvature(schedule.da(t), schedule.db(t), schedule.dda(t),
+                     schedule.ddb(t), x0, eps)
 
 
 def test_target_velocity_linear_is_difference():
@@ -30,13 +24,16 @@ def test_target_velocity_linear_is_difference():
     x0 = np.array([1.0, 2.0])
     eps = np.array([-3.0, 0.5])
     for t in (0.0, 0.25, 0.9):
-        assert np.array_equal(target_velocity(lin, x0, eps, t), eps - x0)
+        da, db = pointwise_derivatives(lin, t)
+        assert np.array_equal(da * x0 + db * eps, eps - x0)
     # coincident endpoints: u = (da + db) x0 = 0 for the linear schedule
-    assert np.array_equal(target_velocity(lin, x0, x0, 0.4), np.zeros(2))
+    da, db = pointwise_derivatives(lin, 0.4)
+    assert np.array_equal(da * x0 + db * x0, np.zeros(2))
 
 
 def test_target_velocity_trig_midpoint():
-    u = target_velocity(TrigSchedule(), E1, E2, 0.5)
+    da, db = pointwise_derivatives(TrigSchedule(), 0.5)
+    u = da * E1 + db * E2
     expected = (np.pi / 2) * np.sin(np.pi / 4)
     assert np.allclose(u, [-expected, expected], atol=1e-9)
     assert np.allclose(np.abs(u), 1.110721, atol=1e-6)
@@ -60,22 +57,6 @@ def test_cross_magnitude_symmetry_and_shear_invariance():
                    - cross_magnitude(x0, eps)) < 1e-9
 
 
-def test_speed_squared_linear_constant():
-    lin = LinearSchedule()
-    x0 = np.array([1.0, 2.0])
-    eps = np.array([0.0, -1.0])
-    expected = float((eps - x0) @ (eps - x0))
-    for t in (0.1, 0.5, 0.9):
-        assert abs(speed_squared(lin, x0, eps, t) - expected) < 1e-12
-    assert speed_squared(lin, x0, x0, 0.5) == 0.0
-
-
-def test_speed_squared_trig_orthonormal():
-    trig = TrigSchedule()
-    for t in (0.0, 0.3, 0.7, 1.0):
-        assert abs(speed_squared(trig, E1, E2, t) - (np.pi / 2) ** 2) < 1e-12
-
-
 def test_linear_schedule_zero_curvature():
     lin = LinearSchedule()
     rng = np.random.default_rng(1)
@@ -84,30 +65,35 @@ def test_linear_schedule_zero_curvature():
         x0 = rng.standard_normal(dim)
         eps = rng.standard_normal(dim)
         t = rng.random()
-        assert curvature(lin, x0, eps, t).kappa < 1e-9
+        assert kappa(lin, x0, eps, t) < 1e-9
 
 
 def test_trig_quarter_circle_curvature():
     trig = TrigSchedule()
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        cp = curvature(trig, E1, E2, t)
-        assert abs(cp.kappa - 1.0) < 1e-9
-        assert abs(cp.determinant - (np.pi / 2) ** 3) < 1e-9
-        assert cp.cross == 1.0
+    t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    k = kappa(trig, E1, E2, t)
+    assert k.shape == t.shape
+    assert np.all(np.abs(k - 1.0) < 1e-9)
+    det = trig.da(t) * trig.ddb(t) - trig.db(t) * trig.dda(t)
+    assert np.all(np.abs(det - (np.pi / 2) ** 3) < 1e-9)
 
 
 def test_parallel_endpoints_zero_curvature_not_degenerate():
     lin = LinearSchedule()
-    cp = curvature(lin, np.array([1.0, 1.0]), np.array([2.0, 2.0]), 0.5)
-    assert cp.kappa == 0.0
-    assert cp.cross == 0.0
+    assert kappa(lin, np.array([1.0, 1.0]), np.array([2.0, 2.0]), 0.5) == 0.0
 
 
 def test_degenerate_trajectory_error():
     lin = LinearSchedule()
     x0 = np.array([1.0, 1.0])
     with pytest.raises(DegenerateTrajectoryError):
-        curvature(lin, x0, x0, 0.5)  # speed identically zero
+        kappa(lin, x0, x0, 0.5)  # speed identically zero
+    # one degenerate node is enough to reject the whole profile
+    with pytest.raises(DegenerateTrajectoryError):
+        curvature(np.array([1.0, 0.0]), np.array([0.0, 0.0]),
+                  np.zeros(2), np.zeros(2), E1, E2)
+    with pytest.raises(ShapeError):
+        kappa(lin, np.zeros(2), np.zeros(3), 0.5)
 
 
 def test_curvature_point_reconstructs_formula():
@@ -116,9 +102,15 @@ def test_curvature_point_reconstructs_formula():
     for _ in range(50):
         x0 = rng.standard_normal(3)
         eps = rng.standard_normal(3)
-        cp = curvature(trig, x0, eps, rng.random())
-        rebuilt = abs(cp.determinant) * cp.cross / cp.speed ** 3
-        assert abs(rebuilt - cp.kappa) <= 1e-12 * max(1.0, cp.kappa)
+        t = rng.random()
+        da, db, dda, ddb = trig.da(t), trig.db(t), trig.dda(t), trig.ddb(t)
+        velocity = da * x0 + db * eps
+        accel = dda * x0 + ddb * eps
+        speed = np.linalg.norm(velocity)
+        # |v x a| / |v|^3 with the cross product of the 3-vectors directly
+        rebuilt = np.linalg.norm(np.cross(velocity, accel)) / speed ** 3
+        k = kappa(trig, x0, eps, t)
+        assert abs(rebuilt - k) <= 1e-9 * max(1.0, k)
 
 
 def test_curvature_scaling_inverse():
@@ -129,14 +121,15 @@ def test_curvature_scaling_inverse():
         eps = rng.standard_normal(2)
         t = rng.random()
         s = 0.5 + 2.0 * rng.random()
-        k1 = curvature(trig, x0, eps, t).kappa
-        k2 = curvature(trig, s * x0, s * eps, t).kappa
+        k1 = kappa(trig, x0, eps, t)
+        k2 = kappa(trig, s * x0, s * eps, t)
         if k1 > 1e-12:
             assert abs(k2 - k1 / s) / (k1 / s) < 1e-6
 
 
 def test_neural_curvature_runs():
-    sch = random_neural(5)
-    cp = curvature(sch, E1, E2, 0.5)
-    assert cp.kappa >= 0.0
-    assert np.isfinite(cp.kappa)
+    dg = grid_derivatives(random_neural(5), GridSpec(100))
+    k = curvature(dg.da, dg.db, dg.dda, dg.ddb, E1, E2)
+    assert k.shape == (99,)
+    assert np.all(k >= 0.0)
+    assert np.all(np.isfinite(k))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from curveflow.engine import (evaluate_with_gradients,
-                              finite_difference_gradient, max_relative_error)
+                              finite_difference_gradient, max_relative_error,
+                              square)
 from curveflow.errors import ConfigError
 from curveflow.velocity import VelocityField
 
@@ -76,7 +77,7 @@ def test_gradient_matches_finite_differences():
 
     def loss(p):
         out = model(z, 0.4, params=p)
-        return np.square(out).sum()
+        return square(out).sum()
 
     _, g_ad = evaluate_with_gradients(loss, model.params)
     g_fd = finite_difference_gradient(loss, model.params, step=1e-5)
