@@ -92,8 +92,14 @@ def test_degenerate_trajectory_error():
     with pytest.raises(DegenerateTrajectoryError):
         curvature(np.array([1.0, 0.0]), np.array([0.0, 0.0]),
                   np.zeros(2), np.zeros(2), E1, E2)
+
+
+def test_interpolate_shape_mismatch():
+    # the interpolant a x0 + b eps needs endpoints of one shape
     with pytest.raises(ShapeError):
-        kappa(lin, np.zeros(2), np.zeros(3), 0.5)
+        kappa(LinearSchedule(), np.zeros(2), np.zeros(3), 0.5)
+    with pytest.raises(ShapeError):
+        kappa(TrigSchedule(), np.zeros((2, 1)), np.zeros(2), 0.5)
 
 
 def test_curvature_point_reconstructs_formula():
