@@ -93,7 +93,6 @@ def evaluate_model(config, schedule, model, held_out):
     report = metrics.schedule_diagnostics(schedule, grid, pairs)
     report.energy_distance = ed
     report.sliced_wasserstein = sw
-    report.subsampled = n > metrics.MAX_PAIRWISE
     return report, samples
 
 

@@ -171,28 +171,11 @@ def divide(a, b):
 def matmul(a, b):
     a, b = _lift(a), _lift(b)
     av, bv = a.value, b.value
-
-    def vjp_a(g):
-        g = np.asarray(g)
-        if av.ndim == 1 and bv.ndim == 2:
-            return g @ bv.T
-        if av.ndim == 2 and bv.ndim == 1:
-            return np.outer(g, bv)
-        if av.ndim == 1 and bv.ndim == 1:
-            return g * bv
-        return g @ bv.T
-
-    def vjp_b(g):
-        g = np.asarray(g)
-        if av.ndim == 1 and bv.ndim == 2:
-            return np.outer(av, g)
-        if av.ndim == 2 and bv.ndim == 1:
-            return av.T @ g
-        if av.ndim == 1 and bv.ndim == 1:
-            return g * av
-        return av.T @ g
-
-    return Tensor(av @ bv, "matmul", (a, b), (vjp_a, vjp_b))
+    if av.ndim != 2 or bv.ndim != 2:
+        raise EngineError("matmul takes 2-D operands, got %d-D @ %d-D"
+                          % (av.ndim, bv.ndim))
+    return Tensor(av @ bv, "matmul", (a, b),
+                  (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def concat(a, b, axis=-1):

@@ -31,7 +31,8 @@ import numpy as np
 from . import engine
 from .engine import merge_params, square, value_of
 from .errors import ConfigError
-from .schedules import grid_derivatives, pointwise_derivatives
+from .schedules import (TARGET_STEP, grid_derivatives,
+                        pointwise_derivatives)
 
 
 @dataclass
@@ -65,9 +66,9 @@ def curve_fm_loss(batch, model, schedule, params=None, detach_target=False):
     (see the module docstring), so the loss is invariant to rescaling the
     schedule by a smooth s(t). The weight is computed by true division, so
     it is exactly 1.0 on the linear schedule and on a zeroed neural one.
-    The target uses the schedule's own first derivatives: closed forms, or
-    for the neural schedule a clamped difference of fixed step 1e-3 that
-    does not depend on the regularizer's grid.
+    a, b and the target's first derivatives come from one call to the
+    schedule's ``derivatives`` at step TARGET_STEP, which does not depend
+    on the regularizer's grid.
 
     When ``params`` holds engine Tensors the result is a Tensor and
     gradients flow to the model and, through z_t, the target and the
@@ -77,13 +78,12 @@ def curve_fm_loss(batch, model, schedule, params=None, detach_target=False):
     x0, eps, t = as_batch(batch)
     if params is None:
         params = merge_params(model.params, schedule.params).as_dict()
-    a = schedule.a(t, params)
-    b = schedule.b(t, params)
+    dg = schedule.derivatives(t, TARGET_STEP, params)
+    a, b, da, db = dg.a, dg.b, dg.da, dg.db
     z = a.reshape(-1, 1) * x0 + b.reshape(-1, 1) * eps
-    tgt_params = params
     if detach_target:
-        tgt_params = {n: value_of(p) for n, p in params.items()}
-    da, db = pointwise_derivatives(schedule, t, params=tgt_params)
+        da, db = pointwise_derivatives(
+            schedule, t, params={n: value_of(p) for n, p in params.items()})
     u = da.reshape(-1, 1) * x0 + db.reshape(-1, 1) * eps
     v = model(z, t, params)
     diff = v - u

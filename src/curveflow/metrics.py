@@ -33,7 +33,6 @@ class EvalReport:
     mean_curvature_profile: np.ndarray = None
     det_profile: np.ndarray = None
     profile_t: np.ndarray = None
-    subsampled: bool = False
 
 
 def _points(name, arr):
@@ -113,15 +112,13 @@ def curvature(da, db, dda, ddb, x0, eps):
     return np.abs(da * ddb - db * dda) * cross_magnitude(x0, eps) / sp2 ** 1.5
 
 
-def schedule_diagnostics(schedule, grid, sample_pairs, exact=None):
+def schedule_diagnostics(schedule, grid, sample_pairs):
     """Determinant integral and mean curvature profile over the grid.
 
     ``sample_pairs`` is a sequence of (x0, eps) pairs; pairs whose speed
     vanishes anywhere on the grid are skipped (error if all do).
     """
-    if exact is None:
-        exact = schedule.has_exact_derivatives
-    dg = grid_derivatives(schedule, grid, exact=exact)
+    dg = grid_derivatives(schedule, grid)
     det = np.asarray(determinant_profile(dg), dtype=float)
     integral = float(grid.dt * np.sum(det * det))
 

@@ -20,6 +20,7 @@ from .engine import ParameterSet, tanh, value_of
 from .errors import ConfigError, DomainError
 
 _HALF_PI = 0.5 * np.pi
+TARGET_STEP = 1e-3  # difference step of the neural flow-matching target
 
 
 def sinusoidal_features(t, width):
@@ -57,8 +58,14 @@ class GridSpec:
 
 @dataclass
 class DerivativeGrid:
-    """First/second schedule derivatives at the interior grid nodes."""
+    """a, b and their first and second derivatives at a set of times.
 
+    Fields are arrays over the times, or Tensors when the schedule was
+    evaluated with Tensor parameters.
+    """
+
+    a: object
+    b: object
     da: object
     db: object
     dda: object
@@ -73,10 +80,9 @@ def _check_domain(t):
 
 
 class CoefficientSchedule:
-    """Base class; subclasses provide a(t), b(t) and their first derivatives."""
+    """Base class; subclasses provide a(t), b(t) and their derivatives."""
 
     kind = "abstract"
-    has_exact_derivatives = False
 
     def __init__(self):
         self.params = ParameterSet({})
@@ -87,17 +93,17 @@ class CoefficientSchedule:
     def b(self, t, params=None):
         raise NotImplementedError
 
-    def first_derivatives(self, t, h=1e-3, params=None):
-        """(da/dt, db/dt) at t; ``h`` is the step of a finite difference."""
+    def derivatives(self, t, h, params=None):
+        """DerivativeGrid at t; ``h`` is the step of any finite difference."""
         raise NotImplementedError
 
 
 class _AnalyticSchedule(CoefficientSchedule):
-    has_exact_derivatives = True
+    """Closed-form schedule; its derivatives are exact and ignore ``h``."""
 
-    def first_derivatives(self, t, h=1e-3, params=None):
-        t = _check_domain(t)
-        return self.da(t), self.db(t)
+    def derivatives(self, t, h, params=None):
+        return DerivativeGrid(self.a(t), self.b(t), self.da(t), self.db(t),
+                              self.dda(t), self.ddb(t))
 
 
 class LinearSchedule(_AnalyticSchedule):
@@ -227,19 +233,25 @@ class NeuralSchedule(CoefficientSchedule):
     def b(self, t, params=None):
         return self._eval("b", lambda t1: t1 + 0.0, t, params)
 
-    def first_derivatives(self, t, h=1e-3, params=None):
-        # The linear base is differentiated exactly; only the residual term
-        # goes through clamped differences. With zeroed residual nets this
-        # returns (-1, 1) exactly, matching the linear schedule.
+    def derivatives(self, t, h, params=None):
+        # The linear base is differentiated exactly; the residual term takes
+        # one central difference at t - h, t, t + h. t (1 - t) f(t) is
+        # smooth past 0 and 1, so the stencil is never clamped. With zeroed
+        # residual nets this is the linear schedule exactly.
         t = np.atleast_1d(_check_domain(t))
-        tp = np.minimum(t + h, 1.0)
-        tm = np.maximum(t - h, 0.0)
-        inv = 1.0 / (tp - tm)
-        da = -1.0 + (self.residual_term("a", tp, params)
-                     - self.residual_term("a", tm, params)) * inv
-        db = 1.0 + (self.residual_term("b", tp, params)
-                    - self.residual_term("b", tm, params)) * inv
-        return da, db
+        stencil = (t - h, t, t + h)
+        ra = [self.residual_term("a", ts, params) for ts in stencil]
+        rb = [self.residual_term("b", ts, params) for ts in stencil]
+        inv2 = 1.0 / (2.0 * h)
+        invsq = 1.0 / (h * h)
+        return DerivativeGrid(
+            (1.0 - t) + ra[1],
+            (t + 0.0) + rb[1],
+            -1.0 + (ra[2] - ra[0]) * inv2,
+            1.0 + (rb[2] - rb[0]) * inv2,
+            (ra[2] - 2.0 * ra[1] + ra[0]) * invsq,
+            (rb[2] - 2.0 * rb[1] + rb[0]) * invsq,
+        )
 
 
 _KINDS = {
@@ -258,40 +270,17 @@ def make_schedule(kind, **kwargs):
         raise ConfigError("unknown schedule kind %r" % kind) from None
 
 
-def pointwise_derivatives(schedule, t, h=1e-3, params=None):
-    """(da/dt, db/dt) at t: exact for analytic kinds, differences otherwise."""
-    if h <= 0:
-        raise ConfigError("step h must be positive")
-    return schedule.first_derivatives(t, h=h, params=params)
+def pointwise_derivatives(schedule, t, params=None):
+    """(da/dt, db/dt) at t: exact for analytic kinds, step TARGET_STEP else."""
+    dg = schedule.derivatives(t, TARGET_STEP, params)
+    return dg.da, dg.db
 
 
-def grid_derivatives(schedule, grid, exact=False, params=None):
-    """Central-difference derivative arrays at the interior grid nodes.
+def grid_derivatives(schedule, grid, params=None):
+    """DerivativeGrid at the interior grid nodes.
 
-    da_i = (a_{i+1} - a_{i-1}) / (2 dt),
-    dda_i = (a_{i+1} - 2 a_i + a_{i-1}) / dt^2, same for b. With
-    ``exact=True`` analytic schedules substitute closed forms.
+    Analytic kinds give closed forms. The neural schedule steps by the grid
+    spacing: a fixed 1e-3 leaves enough roundoff in its second differences
+    to fail the finite-difference gradient check on a 16-node grid.
     """
-    nodes = grid.nodes
-    dt = grid.dt
-    if exact:
-        if not schedule.has_exact_derivatives:
-            raise ConfigError("schedule kind %r has no exact derivatives"
-                              % schedule.kind)
-        ti = grid.interior
-        return DerivativeGrid(schedule.da(ti), schedule.db(ti),
-                              schedule.dda(ti), schedule.ddb(ti))
-    am = schedule.a(nodes[:-2], params)
-    a0 = schedule.a(nodes[1:-1], params)
-    ap = schedule.a(nodes[2:], params)
-    bm = schedule.b(nodes[:-2], params)
-    b0 = schedule.b(nodes[1:-1], params)
-    bp = schedule.b(nodes[2:], params)
-    inv2 = 1.0 / (2.0 * dt)
-    invsq = 1.0 / (dt * dt)
-    return DerivativeGrid(
-        (ap - am) * inv2,
-        (bp - bm) * inv2,
-        (ap - 2.0 * a0 + am) * invsq,
-        (bp - 2.0 * b0 + bm) * invsq,
-    )
+    return schedule.derivatives(grid.interior, grid.dt, params)

@@ -68,18 +68,16 @@ class OptimizerState:
                    v={n: np.zeros_like(a) for n, a in params.items()})
 
 
-def sample_timestep(kind, rng, size=None):
-    """Draw t strictly inside (0, 1)."""
-    n = 1 if size is None else size
+def sample_timestep(kind, rng, size):
+    """Draw ``size`` times strictly inside (0, 1)."""
     if kind == "uniform":
-        t = rng.random(n)
+        t = rng.random(size)
     elif kind == "logit-normal":
-        g = rng.standard_normal(n)
+        g = rng.standard_normal(size)
         t = 1.0 / (1.0 + np.exp(-g))
     else:
         raise ConfigError("unknown timestep sampler %r" % kind)
-    t = np.clip(t, T_CLAMP, 1.0 - T_CLAMP)
-    return float(t[0]) if size is None else t
+    return np.clip(t, T_CLAMP, 1.0 - T_CLAMP)
 
 
 def adamw_step(params, grads, state, lr, names=None):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from curveflow.engine import (NonFiniteError, ParameterSet, Tensor, concat,
-                              evaluate_with_gradients,
+from curveflow.engine import (EngineError, NonFiniteError, ParameterSet,
+                              Tensor, concat, evaluate_with_gradients,
                               finite_difference_gradient, max_relative_error,
                               merge_params, silu, square, tanh)
 
@@ -31,7 +31,7 @@ def _mlp_loss(p):
 
 def _random_mlp_params(rng, n_in=10, hidden=6):
     return ParameterSet({
-        "in": rng.standard_normal(n_in),
+        "in": rng.standard_normal((1, n_in)),
         "w0": rng.standard_normal((n_in, hidden)),
         "b0": rng.standard_normal(hidden),
         "w1": rng.standard_normal((hidden, hidden)),
@@ -119,13 +119,13 @@ def test_unsupported_primitive_rejected():
 def test_ndarray_operands_use_reflected_operators():
     # ndarray (op) Tensor is deferred to the Tensor, which records the
     # primitive with the ndarray lifted to a constant
-    a = np.array([2.0, 4.0])
-    x = Tensor(np.array([1.0, 2.0]))
-    for out, op, value in ((a + x, "add", [3.0, 6.0]),
-                           (a - x, "add", [1.0, 2.0]),
-                           (a * x, "multiply", [2.0, 8.0]),
-                           (a / x, "divide", [2.0, 2.0]),
-                           (a @ x, "matmul", 10.0)):
+    a = np.array([[2.0, 4.0]])
+    x = Tensor(np.array([[1.0, 2.0]]))
+    for out, op, value in ((a + x, "add", [[3.0, 6.0]]),
+                           (a - x, "add", [[1.0, 2.0]]),
+                           (a * x, "multiply", [[2.0, 8.0]]),
+                           (a / x, "divide", [[2.0, 2.0]]),
+                           (a @ x.reshape(2, 1), "matmul", [[10.0]])):
         assert isinstance(out, Tensor)
         assert out.op == op
         assert np.array_equal(out.value, value)
@@ -162,15 +162,16 @@ def test_shared_subexpression_gradient():
 def test_matmul_shapes_and_gradients():
     rng = np.random.default_rng(3)
     params = ParameterSet({"a": rng.standard_normal((3, 4)),
-                           "b": rng.standard_normal((4, 2)),
-                           "v": rng.standard_normal(4)})
-    loss = lambda p: (square(p["a"] @ p["b"]).sum()
-                      + square(p["a"] @ p["v"]).sum()
-                      + square(p["v"] @ p["b"]).sum())
+                           "b": rng.standard_normal((4, 2))})
+    loss = lambda p: square(p["a"] @ p["b"]).sum()
     _, g_ad = evaluate_with_gradients(loss, params)
     g_fd = finite_difference_gradient(loss, params, step=1e-5)
     err, _ = max_relative_error(g_ad, g_fd)
     assert err < 1e-4
+    a, b, v = Tensor(params["a"]), Tensor(params["b"]), Tensor(np.ones(4))
+    for lhs, rhs in ((a, v), (v, b), (v, v)):
+        with pytest.raises(EngineError):
+            lhs @ rhs
 
 
 def test_concat_gradient():

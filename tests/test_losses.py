@@ -7,8 +7,8 @@ from curveflow.engine import (ParameterSet, evaluate_with_gradients,
 from curveflow.errors import ConfigError
 from curveflow.losses import (curve_fm_loss, determinant_profile,
                               robust_curvature_loss, total_loss_graph)
-from curveflow.schedules import (GridSpec, LinearSchedule, TrigSchedule,
-                                 grid_derivatives)
+from curveflow.schedules import (GridSpec, LinearSchedule, NeuralSchedule,
+                                 TrigSchedule, grid_derivatives)
 from curveflow.velocity import VelocityField
 from test_schedule import CustomSchedule, quadratic_stub, random_neural
 
@@ -65,6 +65,9 @@ def test_fm_loss_invariant_to_schedule_scale():
     def ds(tt):
         return -0.8 * np.pi * np.cos(np.pi * tt)
 
+    def dds(tt):
+        return 0.8 * np.pi ** 2 * np.sin(np.pi * tt)
+
     def field(z, tt):
         return np.tanh(z) * (1.0 + tt[:, None]) + np.array([0.3, -0.2])
 
@@ -75,7 +78,9 @@ def test_fm_loss_invariant_to_schedule_scale():
     scaled = CustomSchedule(lambda tt: s(tt) * (1.0 - tt),
                             lambda tt: s(tt) * tt,
                             lambda tt: ds(tt) * (1.0 - tt) - s(tt),
-                            lambda tt: ds(tt) * tt + s(tt))
+                            lambda tt: ds(tt) * tt + s(tt),
+                            lambda tt: dds(tt) * (1.0 - tt) - 2.0 * ds(tt),
+                            lambda tt: dds(tt) * tt + 2.0 * ds(tt))
     plain = curve_fm_loss((x0, eps, t), OracleModel(field), LinearSchedule())
     rescaled = curve_fm_loss((x0, eps, t), OracleModel(scaled_field), scaled)
     assert plain > 1.0
@@ -118,7 +123,9 @@ def test_determinant_profile_polynomial_stub():
 
 def test_robust_curvature_loss_values():
     g = GridSpec(1000)
-    assert robust_curvature_loss(LinearSchedule(), g, 1.0) < 1e-12
+    assert robust_curvature_loss(LinearSchedule(), g, 1.0) == 0.0
+    zeroed = NeuralSchedule(hidden=16, embed=8, seed=0)
+    assert robust_curvature_loss(zeroed, g, 1.0) == 0.0
     trig = robust_curvature_loss(TrigSchedule(), g, 1.0)
     assert abs(trig - HALF_PI ** 6) / HALF_PI ** 6 < 0.01
     assert robust_curvature_loss(TrigSchedule(), g, 0.0) == 0.0
@@ -147,7 +154,7 @@ def test_total_loss_report():
     g = GridSpec(100)
     perfect = OracleModel(lambda z, tt: np.array([[-1.0, 1.0]]))
     fm, reg = total_loss_graph(batch, perfect, lin, g, 1.0, None)
-    assert fm + reg < 1e-12  # grid differences on the linear schedule leave roundoff only
+    assert fm + reg == 0.0
 
     fm, reg = total_loss_graph(batch, perfect, TrigSchedule(), g, 1.0, None)
     assert fm > 0.0  # trig target differs from the linear one

@@ -103,7 +103,7 @@ def test_diagnostics_trig_closed_forms():
 
 def test_determinant_integral_matches_regularizer():
     grid = GridSpec(500)
-    report = schedule_diagnostics(TrigSchedule(), grid, [], exact=False)
+    report = schedule_diagnostics(TrigSchedule(), grid, [])
     for lam in (0.3, 1.0, 2.5):
         loss = robust_curvature_loss(TrigSchedule(), grid, lam)
         assert abs(report.determinant_integral - loss / lam) < 1e-12 * loss / lam

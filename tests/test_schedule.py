@@ -3,8 +3,8 @@ import pytest
 
 from curveflow.engine import ParameterSet
 from curveflow.errors import ConfigError, DomainError
-from curveflow.schedules import (CoefficientSchedule, GridSpec,
-                                 LinearSchedule, NeuralSchedule,
+from curveflow.schedules import (CoefficientSchedule, DerivativeGrid,
+                                 GridSpec, LinearSchedule, NeuralSchedule,
                                  PolynomialSchedule, TrigSchedule,
                                  grid_derivatives, make_schedule,
                                  pointwise_derivatives)
@@ -13,30 +13,31 @@ HALF_PI = np.pi / 2
 
 
 class CustomSchedule(CoefficientSchedule):
-    """Test stub: callables for a, b and their exact first derivatives."""
+    """Test stub: callables for a, b and their exact derivatives."""
 
     kind = "custom"
 
-    def __init__(self, a_fn, b_fn, da_fn, db_fn):
+    def __init__(self, a_fn, b_fn, da_fn, db_fn, dda_fn, ddb_fn):
         super().__init__()
-        self._a_fn, self._b_fn = a_fn, b_fn
-        self._da_fn, self._db_fn = da_fn, db_fn
+        self._fns = (a_fn, b_fn, da_fn, db_fn, dda_fn, ddb_fn)
 
     def a(self, t, params=None):
-        return self._a_fn(np.asarray(t, dtype=float))
+        return self._fns[0](np.asarray(t, dtype=float))
 
     def b(self, t, params=None):
-        return self._b_fn(np.asarray(t, dtype=float))
+        return self._fns[1](np.asarray(t, dtype=float))
 
-    def first_derivatives(self, t, h=1e-3, params=None):
+    def derivatives(self, t, h, params=None):
         t = np.asarray(t, dtype=float)
-        return self._da_fn(t), self._db_fn(t)
+        return DerivativeGrid(*(fn(t) for fn in self._fns))
 
 
 def quadratic_stub():
-    """a = 1 - t, b = t^2: second differences are exact, determinant -2."""
+    """a = 1 - t, b = t^2: determinant -2."""
     return CustomSchedule(lambda t: 1.0 - t, lambda t: t ** 2,
-                          lambda t: -np.ones_like(t), lambda t: 2.0 * t)
+                          lambda t: -np.ones_like(t), lambda t: 2.0 * t,
+                          lambda t: np.zeros_like(t),
+                          lambda t: 2.0 * np.ones_like(t))
 
 
 def random_neural(seed, scale=0.5):
@@ -71,8 +72,11 @@ def test_zero_residual_equals_linear_exactly():
     g = GridSpec(100)
     dg_n = grid_derivatives(sch, g)
     dg_l = grid_derivatives(lin, g)
-    for field in ("da", "db", "dda", "ddb"):
+    for field in ("a", "b", "da", "db", "dda", "ddb"):
         assert np.array_equal(getattr(dg_n, field), getattr(dg_l, field))
+    # the residual's second difference vanishes, not just rounds small
+    assert np.all(dg_n.dda == 0.0)
+    assert np.all(dg_n.ddb == 0.0)
 
 
 def test_domain_error_outside_unit_interval():
@@ -135,23 +139,29 @@ def test_grid_derivatives_trig_second_derivative_accuracy():
 
 
 def test_grid_derivative_error_decays_quadratically():
-    def max_err(m):
-        g = GridSpec(m)
-        dg = grid_derivatives(TrigSchedule(), g)
-        exact = -HALF_PI ** 2 * np.cos(HALF_PI * g.interior)
-        return np.max(np.abs(dg.dda - exact))
+    # the neural schedule's central differences, ends included: halving
+    # the step should cut the error about fourfold
+    sch = random_neural(7)
+    t = np.array([0.0, 0.3, 0.6, 1.0])
+    ref = sch.derivatives(t, 1e-4)
+    fields = ("da", "db", "dda", "ddb")
 
-    e1, e2 = max_err(100), max_err(400)
+    def max_err(h):
+        dg = sch.derivatives(t, h)
+        return max(np.max(np.abs(getattr(dg, f) - getattr(ref, f)))
+                   for f in fields)
+
+    e1, e2 = max_err(0.01), max_err(0.005)
     assert e1 / e2 >= 3.5
 
 
 def test_exact_flag_uses_closed_forms():
     g = GridSpec(10)
-    dg = grid_derivatives(TrigSchedule(), g, exact=True)
-    assert np.allclose(dg.dda, -HALF_PI ** 2 * np.cos(HALF_PI * g.interior),
-                       atol=1e-15)
-    with pytest.raises(ConfigError):
-        grid_derivatives(random_neural(2), g, exact=True)
+    ti = g.interior
+    for sch in (LinearSchedule(), TrigSchedule(), PolynomialSchedule()):
+        dg = grid_derivatives(sch, g)
+        for field in ("a", "b", "da", "db", "dda", "ddb"):
+            assert np.array_equal(getattr(dg, field), getattr(sch, field)(ti))
 
 
 def test_make_schedule_kinds():
@@ -165,7 +175,7 @@ def test_make_schedule_kinds():
 
 def test_polynomial_schedule_constant_determinant():
     p = PolynomialSchedule()
-    dg = grid_derivatives(p, GridSpec(100), exact=True)
+    dg = grid_derivatives(p, GridSpec(100))
     det = dg.da * dg.ddb - dg.db * dg.dda
     assert np.allclose(det, -4.0, atol=1e-12)
 
@@ -173,9 +183,23 @@ def test_polynomial_schedule_constant_determinant():
 def test_neural_derivatives_consistent_with_dense_fd():
     sch = random_neural(7)
     t = np.array([0.3, 0.6])
-    da, db = pointwise_derivatives(sch, t, h=1e-5)
+    dg = sch.derivatives(t, 1e-5)
+    da, db = dg.da, dg.db
     eps = 1e-6
     da_ref = (sch.a(t + eps) - sch.a(t - eps)) / (2 * eps)
     db_ref = (sch.b(t + eps) - sch.b(t - eps)) / (2 * eps)
     assert np.allclose(da, da_ref, atol=1e-4)
     assert np.allclose(db, db_ref, atol=1e-4)
+
+
+def test_neural_target_second_order_at_the_ends():
+    # the target's stencil is never clamped, so it stays a central
+    # difference (error O(h^2)) at t near 0 and 1
+    sch = random_neural(7)
+    eps = 1e-6
+    for t in (1e-5, 1.0 - 1e-5):
+        da, db = pointwise_derivatives(sch, t)
+        for prefix, got in (("a", da + 1.0), ("b", db - 1.0)):
+            ref = (sch.residual_term(prefix, t + eps)
+                   - sch.residual_term(prefix, t - eps)) / (2 * eps)
+            assert np.max(np.abs(got - ref)) < 2e-3, (t, prefix)

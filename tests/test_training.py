@@ -82,7 +82,7 @@ def test_sample_timestep_statistics():
         assert np.all(t > 0.0)
         assert np.all(t < 1.0)
     with pytest.raises(ConfigError):
-        sample_timestep("cosmap", rng)
+        sample_timestep("cosmap", rng, 1)
 
 
 def test_train_deterministic():
