@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from curveflow import (GridSpec, curvature, make_schedule,
-                       schedule_diagnostics, svgplot)
+                       pointwise_derivatives, schedule_diagnostics, svgplot)
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 
@@ -28,9 +28,8 @@ def main():
     print("curvature along the trajectory from x0=(1,0) to eps=(0,1):")
     for kind in ("linear", "trigonometric", "polynomial"):
         schedule = make_schedule(kind)
-        t = np.array([0.25, 0.5, 0.75])
-        kappas = curvature(schedule.da(t), schedule.db(t), schedule.dda(t),
-                           schedule.ddb(t), x0, eps)
+        dg = pointwise_derivatives(schedule, np.array([0.25, 0.5, 0.75]))
+        kappas = curvature(dg.da, dg.db, dg.dda, dg.ddb, x0, eps)
         report = schedule_diagnostics(schedule, grid, [(x0, eps)])
         print("  %-14s kappa(0.25, 0.5, 0.75) = %s   det integral = %.4f"
               % (kind, np.round(kappas, 4), report.determinant_integral))

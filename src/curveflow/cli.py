@@ -293,7 +293,7 @@ def cmd_compare(args):
     return EXIT_OK
 
 
-def gradcheck(seed=0, corrupt=False):
+def gradcheck(seed=0):
     """Autodiff vs finite differences on a small total-loss instance.
 
     Returns (max relative error, worst parameter name).
@@ -320,16 +320,11 @@ def gradcheck(seed=0, corrupt=False):
 
     _, g_ad = evaluate_with_gradients(loss_fn, params)
     g_fd = finite_difference_gradient(loss_fn, params, step=1e-5)
-    if corrupt:
-        bad = g_ad.as_dict()
-        name = sorted(bad)[0]
-        bad[name] = bad[name] + 1e-2
-        g_ad = ParameterSet(bad)
     return max_relative_error(g_ad, g_fd)
 
 
 def cmd_gradcheck(args):
-    err, worst = gradcheck(seed=args.seed, corrupt=args.corrupt_gradient)
+    err, worst = gradcheck(seed=args.seed)
     print("max relative error %s (parameter %s)" % (_fmt(err), worst or "-"))
     if err < 1e-4:
         return EXIT_OK
@@ -370,8 +365,6 @@ def make_parser():
 
     p = sub.add_parser("gradcheck", help="autodiff vs finite differences")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt-gradient", action="store_true",
-                   help=argparse.SUPPRESS)  # negative-control test hook
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -146,12 +146,6 @@ def load_config(path):
     return config_from_dict(doc)
 
 
-def save_config(path, config):
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
-
-
 @dataclass
 class Checkpoint:
     config: ExperimentConfig

@@ -21,7 +21,9 @@ paper's unweighted loss. The regularizer is
     lambda * dt * sum_i (da_i ddb_i - db_i dda_i)^2
 
 a left-point Riemann sum of the squared determinant over the interior
-grid nodes.
+grid nodes. Both terms read the schedule through its one ``derivatives``
+method: the data term by ``pointwise_derivatives`` at the batch's t, the
+regularizer by ``grid_derivatives`` at the grid.
 """
 
 from dataclasses import dataclass
@@ -29,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import merge_params, square, value_of
+from .engine import merge_params, square
 from .errors import ConfigError
-from .schedules import (TARGET_STEP, grid_derivatives,
-                        pointwise_derivatives)
+from .schedules import grid_derivatives, pointwise_derivatives
 
 
 @dataclass
@@ -59,32 +60,28 @@ def as_batch(batch):
     return x0, eps, t
 
 
-def curve_fm_loss(batch, model, schedule, params=None, detach_target=False):
+def curve_fm_loss(batch, model, schedule, params=None):
     """Schedule-weighted mean squared velocity-matching error over the batch.
 
     Row i is weighted by w_i = ((1 - t_i)^2 + t_i^2) / (a(t_i)^2 + b(t_i)^2)
     (see the module docstring), so the loss is invariant to rescaling the
     schedule by a smooth s(t). The weight is computed by true division, so
     it is exactly 1.0 on the linear schedule and on a zeroed neural one.
-    a, b and the target's first derivatives come from one call to the
-    schedule's ``derivatives`` at step TARGET_STEP, which does not depend
-    on the regularizer's grid.
+    a, b and the target's first derivatives come from one call to
+    ``pointwise_derivatives``, whose step does not depend on the
+    regularizer's grid.
 
     When ``params`` holds engine Tensors the result is a Tensor and
     gradients flow to the model and, through z_t, the target and the
-    weight, to the schedule. ``detach_target`` cuts the schedule gradient
-    through the regression target only (ablation switch).
+    weight, to the schedule.
     """
     x0, eps, t = as_batch(batch)
     if params is None:
         params = merge_params(model.params, schedule.params).as_dict()
-    dg = schedule.derivatives(t, TARGET_STEP, params)
-    a, b, da, db = dg.a, dg.b, dg.da, dg.db
+    dg = pointwise_derivatives(schedule, t, params)
+    a, b = dg.a, dg.b
     z = a.reshape(-1, 1) * x0 + b.reshape(-1, 1) * eps
-    if detach_target:
-        da, db = pointwise_derivatives(
-            schedule, t, params={n: value_of(p) for n, p in params.items()})
-    u = da.reshape(-1, 1) * x0 + db.reshape(-1, 1) * eps
+    u = dg.da.reshape(-1, 1) * x0 + dg.db.reshape(-1, 1) * eps
     v = model(z, t, params)
     diff = v - u
     w = (np.square(1.0 - t) + np.square(t)) / (square(a) + square(b))
@@ -110,10 +107,8 @@ def robust_curvature_loss(schedule, grid, lam, params=None):
     return loss if isinstance(loss, engine.Tensor) else float(loss)
 
 
-def total_loss_graph(batch, model, schedule, grid, lam, params,
-                     detach_target=False):
+def total_loss_graph(batch, model, schedule, grid, lam, params):
     """(fm, regularizer) terms, Tensors when ``params`` holds Tensors."""
-    fm = curve_fm_loss(batch, model, schedule, params=params,
-                       detach_target=detach_target)
+    fm = curve_fm_loss(batch, model, schedule, params=params)
     reg = robust_curvature_loss(schedule, grid, lam, params=params)
     return fm, reg

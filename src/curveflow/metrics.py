@@ -44,9 +44,9 @@ def _points(name, arr):
 
 def _maybe_subsample(arr, rng):
     if arr.shape[0] <= MAX_PAIRWISE:
-        return arr, False
+        return arr
     idx = rng.choice(arr.shape[0], size=MAX_PAIRWISE, replace=False)
-    return arr[np.sort(idx)], True
+    return arr[np.sort(idx)]
 
 
 def energy_distance(a, b, seed=0):
@@ -56,8 +56,8 @@ def energy_distance(a, b, seed=0):
     if a.shape[1] != b.shape[1]:
         raise ShapeError("dimension mismatch: %d vs %d" % (a.shape[1], b.shape[1]))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    a, sub_a = _maybe_subsample(a, rng)
-    b, sub_b = _maybe_subsample(b, rng)
+    a = _maybe_subsample(a, rng)
+    b = _maybe_subsample(b, rng)
     ab = cdist(a, b).mean()
     aa = cdist(a, a).mean()
     bb = cdist(b, b).mean()

@@ -99,11 +99,24 @@ class CoefficientSchedule:
 
 
 class _AnalyticSchedule(CoefficientSchedule):
-    """Closed-form schedule; its derivatives are exact and ignore ``h``."""
+    """Closed-form schedule; its derivatives are exact and ignore ``h``.
+
+    Each kind gives one table, ``fields(t)``: (a, b, da, db, dda, ddb) at
+    a float array t already checked to lie in [0, 1].
+    """
+
+    @staticmethod
+    def fields(t):
+        raise NotImplementedError
+
+    def a(self, t, params=None):
+        return self.fields(_check_domain(t))[0]
+
+    def b(self, t, params=None):
+        return self.fields(_check_domain(t))[1]
 
     def derivatives(self, t, h, params=None):
-        return DerivativeGrid(self.a(t), self.b(t), self.da(t), self.db(t),
-                              self.dda(t), self.ddb(t))
+        return DerivativeGrid(*self.fields(_check_domain(t)))
 
 
 class LinearSchedule(_AnalyticSchedule):
@@ -111,22 +124,10 @@ class LinearSchedule(_AnalyticSchedule):
 
     kind = "linear"
 
-    def a(self, t, params=None):
-        return 1.0 - _check_domain(t)
-
-    def b(self, t, params=None):
-        return _check_domain(t) + 0.0
-
-    def da(self, t):
-        return -np.ones_like(np.asarray(t, dtype=float))
-
-    def db(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
-
-    def dda(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    ddb = dda
+    @staticmethod
+    def fields(t):
+        return (1.0 - t, t + 0.0, -np.ones_like(t), np.ones_like(t),
+                np.zeros_like(t), np.zeros_like(t))
 
 
 class TrigSchedule(_AnalyticSchedule):
@@ -134,23 +135,11 @@ class TrigSchedule(_AnalyticSchedule):
 
     kind = "trigonometric"
 
-    def a(self, t, params=None):
-        return np.cos(_HALF_PI * _check_domain(t))
-
-    def b(self, t, params=None):
-        return np.sin(_HALF_PI * _check_domain(t))
-
-    def da(self, t):
-        return -_HALF_PI * np.sin(_HALF_PI * np.asarray(t, dtype=float))
-
-    def db(self, t):
-        return _HALF_PI * np.cos(_HALF_PI * np.asarray(t, dtype=float))
-
-    def dda(self, t):
-        return -_HALF_PI ** 2 * np.cos(_HALF_PI * np.asarray(t, dtype=float))
-
-    def ddb(self, t):
-        return -_HALF_PI ** 2 * np.sin(_HALF_PI * np.asarray(t, dtype=float))
+    @staticmethod
+    def fields(t):
+        c, s = np.cos(_HALF_PI * t), np.sin(_HALF_PI * t)
+        return (c, s, -_HALF_PI * s, _HALF_PI * c,
+                -_HALF_PI ** 2 * c, -_HALF_PI ** 2 * s)
 
 
 class PolynomialSchedule(_AnalyticSchedule):
@@ -158,22 +147,10 @@ class PolynomialSchedule(_AnalyticSchedule):
 
     kind = "polynomial"
 
-    def a(self, t, params=None):
-        return (1.0 - _check_domain(t)) ** 2
-
-    def b(self, t, params=None):
-        return _check_domain(t) ** 2
-
-    def da(self, t):
-        return -2.0 * (1.0 - np.asarray(t, dtype=float))
-
-    def db(self, t):
-        return 2.0 * np.asarray(t, dtype=float)
-
-    def dda(self, t):
-        return 2.0 * np.ones_like(np.asarray(t, dtype=float))
-
-    ddb = dda
+    @staticmethod
+    def fields(t):
+        return ((1.0 - t) ** 2, t ** 2, -2.0 * (1.0 - t), 2.0 * t,
+                2.0 * np.ones_like(t), 2.0 * np.ones_like(t))
 
 
 class NeuralSchedule(CoefficientSchedule):
@@ -271,9 +248,12 @@ def make_schedule(kind, **kwargs):
 
 
 def pointwise_derivatives(schedule, t, params=None):
-    """(da/dt, db/dt) at t: exact for analytic kinds, step TARGET_STEP else."""
-    dg = schedule.derivatives(t, TARGET_STEP, params)
-    return dg.da, dg.db
+    """DerivativeGrid at the flow-matching target's times t.
+
+    Analytic kinds give closed forms. The neural schedule steps by
+    TARGET_STEP, whatever the regularizer's grid.
+    """
+    return schedule.derivatives(t, TARGET_STEP, params)
 
 
 def grid_derivatives(schedule, grid, params=None):

@@ -32,7 +32,6 @@ class TrainConfig:
     timestep_sampler: str = "uniform"
     seed: int = 0
     train_schedule: bool = True
-    detach_target: bool = False
 
     def validate(self):
         if self.epochs < 1:
@@ -158,8 +157,7 @@ def train(config, dataset, schedule, model):
             leaves = {name: Tensor(arr) for name, arr in params.items()}
             try:
                 fm, reg = total_loss_graph((x0, eps, t), model, schedule, grid,
-                                           config.lam, leaves,
-                                           detach_target=config.detach_target)
+                                           config.lam, leaves)
                 backward(fm + reg)
             except (NonFiniteError, NonFiniteInputError) as exc:
                 raise DivergenceError("loss evaluation failed at step %d: %s"

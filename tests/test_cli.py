@@ -5,7 +5,8 @@ import pytest
 
 from curveflow import cli, config
 from curveflow.config import (config_from_dict, config_to_dict,
-                              load_checkpoint, save_checkpoint, save_config)
+                              load_checkpoint, save_checkpoint)
+from curveflow.engine import ParameterSet
 from curveflow.errors import CheckpointError, ConfigError
 from curveflow.velocity import VelocityField
 
@@ -266,8 +267,18 @@ def test_gradcheck_passes(capsys):
     assert "max relative error" in capsys.readouterr().out
 
 
-def test_gradcheck_negative_control():
-    assert cli.main(["gradcheck", "--seed", "0", "--corrupt-gradient"]) == 1
+def test_gradcheck_negative_control(monkeypatch, capsys):
+    evaluate = cli.evaluate_with_gradients
+
+    def corrupted(loss_fn, params):
+        value, grads = evaluate(loss_fn, params)
+        bad = grads.as_dict()
+        bad["a/b0"] = bad["a/b0"] + 1e-2
+        return value, ParameterSet(bad)
+
+    monkeypatch.setattr(cli, "evaluate_with_gradients", corrupted)
+    assert cli.main(["gradcheck", "--seed", "0"]) == 1
+    assert "a/b0" in capsys.readouterr().err
 
 
 def test_config_round_trip_fixed_point(tmp_path):
@@ -277,7 +288,8 @@ def test_config_round_trip_fixed_point(tmp_path):
     again = config_to_dict(config_from_dict(once))
     assert once == again
     path = tmp_path / "cfg.json"
-    save_config(path, config)
+    with open(path, "w") as fh:
+        json.dump(config_to_dict(config), fh)
     assert config_to_dict(config_from_dict(json.load(open(path)))) == once
 
 

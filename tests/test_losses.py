@@ -208,24 +208,3 @@ def test_fm_loss_nonnegative_random():
         t = np.clip(rng.random(4), 1e-3, 1 - 1e-3)
         assert curve_fm_loss((x0, eps, t), model, schedule) >= 0.0
 
-
-def test_detach_target_changes_schedule_gradient_only():
-    rng = np.random.default_rng(6)
-    schedule = random_neural(7, scale=0.2)
-    model = VelocityField.initialize(2, seed=8, hidden=8, time_features=4)
-    params = merge_params(model.params, schedule.params)
-    x0 = rng.standard_normal((3, 2))
-    eps = rng.standard_normal((3, 2))
-    t = np.clip(rng.random(3), 0.05, 0.95)
-
-    def loss(detach):
-        return lambda p: curve_fm_loss((x0, eps, t), model, schedule,
-                                       params=p, detach_target=detach)
-
-    _, g_on = evaluate_with_gradients(loss(False), params)
-    _, g_off = evaluate_with_gradients(loss(True), params)
-    for name in g_on:
-        if name.startswith("v/"):
-            assert np.array_equal(g_on[name], g_off[name])
-    assert any(not np.array_equal(g_on[n], g_off[n])
-               for n in g_on if n.startswith(("a/", "b/")))

@@ -66,9 +66,10 @@ def test_zero_residual_equals_linear_exactly():
     t = np.linspace(0, 1, 101)
     assert np.array_equal(sch.a(t), lin.a(t))
     assert np.array_equal(sch.b(t), lin.b(t))
-    da, db = pointwise_derivatives(sch, t)
-    assert np.array_equal(da, lin.da(t))
-    assert np.array_equal(db, lin.db(t))
+    dg_n = pointwise_derivatives(sch, t)
+    dg_l = pointwise_derivatives(lin, t)
+    assert np.array_equal(dg_n.da, dg_l.da)
+    assert np.array_equal(dg_n.db, dg_l.db)
     g = GridSpec(100)
     dg_n = grid_derivatives(sch, g)
     dg_l = grid_derivatives(lin, g)
@@ -98,13 +99,13 @@ def test_analytic_closed_forms():
 
 
 def test_pointwise_derivatives_linear():
-    da, db = pointwise_derivatives(LinearSchedule(), np.array([0.0, 0.3, 1.0]))
-    assert np.all(da == -1.0)
-    assert np.all(db == 1.0)
+    dg = pointwise_derivatives(LinearSchedule(), np.array([0.0, 0.3, 1.0]))
+    assert np.all(dg.da == -1.0)
+    assert np.all(dg.db == 1.0)
 
 
 def test_pointwise_derivatives_trig_midpoint():
-    da, _ = pointwise_derivatives(TrigSchedule(), 0.5)
+    da = pointwise_derivatives(TrigSchedule(), 0.5).da
     assert abs(float(da) - (-HALF_PI * np.sin(np.pi / 4))) < 1e-9
     assert abs(float(da) - (-1.110721)) < 1e-6
 
@@ -157,11 +158,21 @@ def test_grid_derivative_error_decays_quadratically():
 
 def test_exact_flag_uses_closed_forms():
     g = GridSpec(10)
-    ti = g.interior
-    for sch in (LinearSchedule(), TrigSchedule(), PolynomialSchedule()):
-        dg = grid_derivatives(sch, g)
-        for field in ("a", "b", "da", "db", "dda", "ddb"):
-            assert np.array_equal(getattr(dg, field), getattr(sch, field)(ti))
+    t = g.interior
+    one, zero = np.ones_like(t), np.zeros_like(t)
+    c, s = np.cos(HALF_PI * t), np.sin(HALF_PI * t)
+    closed_forms = {
+        LinearSchedule: (1 - t, t, -one, one, zero, zero),
+        TrigSchedule: (c, s, -HALF_PI * s, HALF_PI * c,
+                       -HALF_PI ** 2 * c, -HALF_PI ** 2 * s),
+        PolynomialSchedule: ((1 - t) ** 2, t ** 2, -2 * (1 - t), 2 * t,
+                             2 * one, 2 * one),
+    }
+    for cls, expected in closed_forms.items():
+        dg = grid_derivatives(cls(), g)
+        for field, want in zip(("a", "b", "da", "db", "dda", "ddb"), expected):
+            np.testing.assert_allclose(getattr(dg, field), want, rtol=0,
+                                       atol=1e-15, err_msg=field)
 
 
 def test_make_schedule_kinds():
@@ -198,8 +209,8 @@ def test_neural_target_second_order_at_the_ends():
     sch = random_neural(7)
     eps = 1e-6
     for t in (1e-5, 1.0 - 1e-5):
-        da, db = pointwise_derivatives(sch, t)
-        for prefix, got in (("a", da + 1.0), ("b", db - 1.0)):
+        dg = pointwise_derivatives(sch, t)
+        for prefix, got in (("a", dg.da + 1.0), ("b", dg.db - 1.0)):
             ref = (sch.residual_term(prefix, t + eps)
                    - sch.residual_term(prefix, t - eps)) / (2 * eps)
             assert np.max(np.abs(got - ref)) < 2e-3, (t, prefix)

@@ -11,6 +11,12 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 
+import numpy as np  # noqa: E402
+
+from curveflow.engine import Tensor, merge_params  # noqa: E402
+from curveflow.losses import curve_fm_loss  # noqa: E402
+from curveflow.schedules import NeuralSchedule  # noqa: E402
+from curveflow.velocity import VelocityField  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 
@@ -20,3 +26,23 @@ def test_tracer_installs_on_the_current_names():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_fm_target_derivatives_are_traced():
+    # the FM target takes its derivatives through pointwise_derivatives,
+    # so the benchmark's schedules.pointwise_derivatives_ms measures it
+    rng = np.random.default_rng(0)
+    schedule = NeuralSchedule(hidden=8, embed=8, seed=0)
+    model = VelocityField.initialize(2, seed=1, hidden=8, time_features=4)
+    leaves = {n: Tensor(a) for n, a in
+              merge_params(model.params, schedule.params).items()}
+    batch = (rng.standard_normal((4, 2)), rng.standard_normal((4, 2)),
+             rng.random(4))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        curve_fm_loss(batch, model, schedule, params=leaves)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert "schedules.pointwise_derivatives" in names

@@ -15,8 +15,8 @@ E2 = np.array([0.0, 1.0])
 
 def kappa(schedule, x0, eps, t):
     """Curvature at t of an analytic schedule, from its closed forms."""
-    return curvature(schedule.da(t), schedule.db(t), schedule.dda(t),
-                     schedule.ddb(t), x0, eps)
+    dg = pointwise_derivatives(schedule, t)
+    return curvature(dg.da, dg.db, dg.dda, dg.ddb, x0, eps)
 
 
 def test_target_velocity_linear_is_difference():
@@ -24,16 +24,16 @@ def test_target_velocity_linear_is_difference():
     x0 = np.array([1.0, 2.0])
     eps = np.array([-3.0, 0.5])
     for t in (0.0, 0.25, 0.9):
-        da, db = pointwise_derivatives(lin, t)
-        assert np.array_equal(da * x0 + db * eps, eps - x0)
+        dg = pointwise_derivatives(lin, t)
+        assert np.array_equal(dg.da * x0 + dg.db * eps, eps - x0)
     # coincident endpoints: u = (da + db) x0 = 0 for the linear schedule
-    da, db = pointwise_derivatives(lin, 0.4)
-    assert np.array_equal(da * x0 + db * x0, np.zeros(2))
+    dg = pointwise_derivatives(lin, 0.4)
+    assert np.array_equal(dg.da * x0 + dg.db * x0, np.zeros(2))
 
 
 def test_target_velocity_trig_midpoint():
-    da, db = pointwise_derivatives(TrigSchedule(), 0.5)
-    u = da * E1 + db * E2
+    dg = pointwise_derivatives(TrigSchedule(), 0.5)
+    u = dg.da * E1 + dg.db * E2
     expected = (np.pi / 2) * np.sin(np.pi / 4)
     assert np.allclose(u, [-expected, expected], atol=1e-9)
     assert np.allclose(np.abs(u), 1.110721, atol=1e-6)
@@ -74,7 +74,8 @@ def test_trig_quarter_circle_curvature():
     k = kappa(trig, E1, E2, t)
     assert k.shape == t.shape
     assert np.all(np.abs(k - 1.0) < 1e-9)
-    det = trig.da(t) * trig.ddb(t) - trig.db(t) * trig.dda(t)
+    dg = pointwise_derivatives(trig, t)
+    det = dg.da * dg.ddb - dg.db * dg.dda
     assert np.all(np.abs(det - (np.pi / 2) ** 3) < 1e-9)
 
 
@@ -109,7 +110,8 @@ def test_curvature_point_reconstructs_formula():
         x0 = rng.standard_normal(3)
         eps = rng.standard_normal(3)
         t = rng.random()
-        da, db, dda, ddb = trig.da(t), trig.db(t), trig.dda(t), trig.ddb(t)
+        dg = pointwise_derivatives(trig, t)
+        da, db, dda, ddb = dg.da, dg.db, dg.dda, dg.ddb
         velocity = da * x0 + db * eps
         accel = dda * x0 + ddb * eps
         speed = np.linalg.norm(velocity)
