@@ -123,14 +123,12 @@ def cmd_train(args):
               file=sys.stderr)
         if exc.params is not None:
             save_checkpoint(os.path.join(outdir, "checkpoint.json"),
-                            Checkpoint(config=config, params=exc.params,
-                                       opt_state=exc.opt_state, step=exc.step))
+                            Checkpoint(config, exc.params, exc.step))
             write_history_csv(os.path.join(outdir, "history.csv"),
                               exc.history or [])
         return EXIT_DIVERGED
     save_checkpoint(os.path.join(outdir, "checkpoint.json"),
-                    Checkpoint(config=config, params=result.params,
-                               opt_state=result.opt_state, step=result.steps))
+                    Checkpoint(config, result.params, result.steps))
     write_history_csv(os.path.join(outdir, "history.csv"), result.history)
     _write_manifest(os.path.join(outdir, "run_manifest.json"), config,
                     extra={"steps": result.steps})

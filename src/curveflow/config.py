@@ -15,7 +15,7 @@ from .datagen import DatasetSpec
 from .engine import ParameterSet
 from .errors import CheckpointError, ConfigError
 from .sampling import SolverConfig
-from .training import OptimizerState, TrainConfig
+from .training import TrainConfig
 
 FORMAT_VERSION = 1
 
@@ -150,27 +150,15 @@ def load_config(path):
 class Checkpoint:
     config: ExperimentConfig
     params: ParameterSet
-    opt_state: OptimizerState
     step: int
-    format_version: int = FORMAT_VERSION
 
 
 def save_checkpoint(path, ckpt):
-    state = ckpt.opt_state
     doc = {
-        "format_version": ckpt.format_version,
+        "format_version": FORMAT_VERSION,
         "config": config_to_dict(ckpt.config),
         "step": ckpt.step,
         "params": {n: a.tolist() for n, a in ckpt.params.items()},
-        "opt_state": {
-            "step": state.step,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "eps": state.eps,
-            "weight_decay": state.weight_decay,
-            "m": {n: a.tolist() for n, a in state.m.items()},
-            "v": {n: a.tolist() for n, a in state.v.items()},
-        },
     }
     # write a sibling file and rename it over ``path``, so a failed write
     # leaves the previous checkpoint intact instead of a truncated one
@@ -197,24 +185,14 @@ def load_checkpoint(path):
     if doc["format_version"] != FORMAT_VERSION:
         raise CheckpointError("format_version mismatch: got %r, expected %d"
                               % (doc["format_version"], FORMAT_VERSION))
-    for fieldname in ("config", "step", "params", "opt_state"):
+    for fieldname in ("config", "step", "params"):
         if fieldname not in doc:
             raise CheckpointError("missing field: %s" % fieldname)
     try:
         config = config_from_dict(doc["config"])
         params = ParameterSet({n: np.asarray(a, dtype=float)
                                for n, a in doc["params"].items()})
-        opt = doc["opt_state"]
-        state = OptimizerState(
-            m={n: np.asarray(a, dtype=float) for n, a in opt["m"].items()},
-            v={n: np.asarray(a, dtype=float) for n, a in opt["v"].items()},
-            step=int(opt["step"]),
-            beta1=float(opt["beta1"]),
-            beta2=float(opt["beta2"]),
-            eps=float(opt["eps"]),
-            weight_decay=float(opt["weight_decay"]),
-        )
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        step = int(doc["step"])
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError("malformed checkpoint field: %s" % exc) from exc
-    return Checkpoint(config=config, params=params, opt_state=state,
-                      step=int(doc["step"]))
+    return Checkpoint(config=config, params=params, step=step)

@@ -15,6 +15,7 @@ goes to the Tensor's reflected operator and ``np.sin(Tensor)`` raises
 """
 
 import numpy as np
+from scipy.special import expit
 
 
 class EngineError(Exception):
@@ -36,17 +37,6 @@ def _unbroadcast(grad, shape):
         if n == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
-
-
-def _sigmoid(x):
-    # piecewise form avoids overflow in exp for large |x|
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 class Tensor:
@@ -75,7 +65,7 @@ class Tensor:
 
     def silu(self):
         x = self.value
-        s = _sigmoid(x)
+        s = expit(x)
         return Tensor(x * s, "silu", (self,),
                       (lambda g: g * (s * (1.0 + x * (1.0 - s))),))
 
@@ -203,7 +193,7 @@ def tanh(x):
 
 
 def silu(x):
-    return x.silu() if isinstance(x, Tensor) else x * _sigmoid(x)
+    return x.silu() if isinstance(x, Tensor) else x * expit(x)
 
 
 def square(x):

@@ -28,11 +28,10 @@ class DivergenceError(RuntimeError):
     training, the last valid state so callers can persist it.
     """
 
-    def __init__(self, message, step=None, params=None, opt_state=None, history=None):
+    def __init__(self, message, step=None, params=None, history=None):
         super().__init__(message)
         self.step = step
         self.params = params
-        self.opt_state = opt_state
         self.history = history
 
 

@@ -35,12 +35,13 @@ def integrate(velocity, z_start, config):
     for k in range(config.steps):
         t = 1.0 - k * h
         v1 = np.asarray(velocity(z, t), dtype=float)
-        if config.method == "euler":
-            z = z - h * v1
-        else:
-            z_pred = z - h * v1
-            v2 = np.asarray(velocity(z_pred, t - h), dtype=float)
-            z = z - 0.5 * h * (v1 + v2)
+        z_next = z - h * v1
+        # Heun's corrector needs a finite predictor; an overflowed one is
+        # reported below as divergence, like an overflowed step
+        if config.method == "heun" and np.all(np.isfinite(z_next)):
+            v2 = np.asarray(velocity(z_next, t - h), dtype=float)
+            z_next = z - 0.5 * h * (v1 + v2)
+        z = z_next
         if not np.all(np.isfinite(z)):
             raise DivergenceError("integration diverged at step %d" % k, step=k)
     return z

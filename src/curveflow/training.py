@@ -18,6 +18,7 @@ from .losses import LossReport, total_loss_graph
 from .schedules import GridSpec
 
 T_CLAMP = 1e-5  # keep sampled timesteps strictly inside (0, 1)
+BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01  # AdamW
 
 
 @dataclass
@@ -56,10 +57,6 @@ class OptimizerState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
 
     @classmethod
     def init(cls, params):
@@ -84,8 +81,8 @@ def adamw_step(params, grads, state, lr, names=None):
     names = params.names() if names is None else list(names)
     state.step += 1
     k = state.step
-    bc1 = 1.0 - state.beta1 ** k
-    bc2 = 1.0 - state.beta2 ** k
+    bc1 = 1.0 - BETA1 ** k
+    bc2 = 1.0 - BETA2 ** k
     out = params.as_dict()
     for name in names:
         g = np.asarray(grads[name], dtype=float)
@@ -93,12 +90,12 @@ def adamw_step(params, grads, state, lr, names=None):
             raise DivergenceError("non-finite gradient for %r" % name,
                                   step=state.step)
         p = out[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + state.eps) \
-            - lr * state.weight_decay * p
+        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) \
+            - lr * WEIGHT_DECAY * p
     return ParameterSet(out)
 
 
@@ -116,7 +113,6 @@ def lr_at(step, total_steps, config):
 @dataclass
 class TrainResult:
     params: ParameterSet
-    opt_state: OptimizerState
     history: list = field(default_factory=list)
     steps: int = 0
 
@@ -162,7 +158,7 @@ def train(config, dataset, schedule, model):
             except (NonFiniteError, NonFiniteInputError) as exc:
                 raise DivergenceError("loss evaluation failed at step %d: %s"
                                       % (step, exc), step=step, params=params,
-                                      opt_state=state, history=history) from exc
+                                      history=history) from exc
 
             grads = {}
             for name in trainable:
@@ -175,7 +171,6 @@ def train(config, dataset, schedule, model):
             except DivergenceError as exc:
                 exc.step = step
                 exc.params = params
-                exc.opt_state = state
                 exc.history = history
                 raise
 
@@ -191,5 +186,4 @@ def train(config, dataset, schedule, model):
     model.params = ParameterSet({name: params[name] for name in model.params})
     schedule.params = ParameterSet({name: params[name]
                                     for name in schedule.params})
-    return TrainResult(params=params, opt_state=state, history=history,
-                       steps=step)
+    return TrainResult(params=params, history=history, steps=step)

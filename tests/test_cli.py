@@ -66,13 +66,23 @@ def test_train_rerun_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_train_divergence_exit_code(tmp_path):
+def test_train_divergence_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, small_config(base_lr=1e18, epochs=2))
     out = tmp_path / "div"
+    path = str(out / "checkpoint.json")
     with np.errstate(all="ignore"):
         assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
-    # the partial checkpoint from the last valid state is retained
-    assert (out / "checkpoint.json").exists()
+        # the partial checkpoint from the last valid state is retained: its
+        # step counts the rows of the retained history, and it loads
+        ckpt, _, _ = cli.load_run(path)
+        rows = (out / "history.csv").read_text().splitlines()[1:]
+        assert ckpt.step == len(rows) > 0
+        assert all(np.all(np.isfinite(a)) for _, a in ckpt.params.items())
+        # its weights (up to ~1e32 at lr 1e18) overflow the Heun predictor;
+        # that is reported as divergence, not raised out of main
+        assert cli.main(["sample", "--checkpoint", path, "--count", "20",
+                         "--out", str(tmp_path / "s")]) == 3
+    assert "sampling diverged" in capsys.readouterr().err
 
 
 def _trained_checkpoint(tmp_path):
@@ -123,6 +133,28 @@ def test_checkpoint_round_trip_bit_identical_forward(tmp_path):
     assert np.array_equal(before, model2(z, 0.4))
 
 
+def test_checkpoint_holds_no_optimizer_state(tmp_path):
+    path = _trained_checkpoint(tmp_path)
+    doc = json.loads(open(path).read())
+    assert set(doc) == {"format_version", "config", "step", "params"}
+    # a checkpoint in the earlier format, which also carried the AdamW
+    # state, still loads and samples the same points
+    zeros = {n: np.zeros_like(np.asarray(a)).tolist()
+             for n, a in doc["params"].items()}
+    doc["opt_state"] = {"step": doc["step"], "beta1": 0.9, "beta2": 0.999,
+                        "eps": 1e-8, "weight_decay": 0.01,
+                        "m": zeros, "v": zeros}
+    old = tmp_path / "with_opt_state.json"
+    old.write_text(json.dumps(doc))
+    csvs = []
+    for ckpt, name in ((path, "new"), (str(old), "old")):
+        out = tmp_path / name
+        assert cli.main(["sample", "--checkpoint", ckpt, "--count", "20",
+                         "--out", str(out)]) == 0
+        csvs.append((out / "samples.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_checkpoint_version_mismatch(tmp_path):
     path = _trained_checkpoint(tmp_path)
     doc = json.loads(open(path).read())
@@ -132,6 +164,19 @@ def test_checkpoint_version_mismatch(tmp_path):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(str(bad))
     assert "format_version" in str(exc.value)
+
+
+@pytest.mark.parametrize("field,value", [("step", "many"), ("params", [1, 2])])
+def test_checkpoint_malformed_field(tmp_path, field, value):
+    path = _trained_checkpoint(tmp_path)
+    doc = json.loads(open(path).read())
+    doc[field] = value
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(bad))
+    assert cli.main(["sample", "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "x")]) == 2
 
 
 def _edited_checkpoint(tmp_path, section, field, value):

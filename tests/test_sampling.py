@@ -80,6 +80,16 @@ def test_divergence_reports_step():
     assert exc.value.step is not None
 
 
+def test_heun_overflowed_predictor_is_divergence():
+    # the corrector never evaluates the field at an overflowed predictor
+    def field(z, t):
+        assert np.all(np.isfinite(z))
+        return np.full_like(z, np.inf)
+    with pytest.raises(DivergenceError) as exc:
+        integrate(field, np.array([1.0]), SolverConfig("heun", 10))
+    assert exc.value.step == 0
+
+
 def test_non_finite_start_rejected():
     with pytest.raises(ConfigError):
         integrate(lambda z, t: z, np.array([np.inf]), SolverConfig("euler", 5))

@@ -5,8 +5,8 @@ from curveflow.datagen import DatasetSpec, generate
 from curveflow.engine import ParameterSet
 from curveflow.errors import ConfigError, DivergenceError
 from curveflow.schedules import LinearSchedule, NeuralSchedule
-from curveflow.training import (OptimizerState, TrainConfig, adamw_step,
-                                lr_at, sample_timestep, train)
+from curveflow.training import (WEIGHT_DECAY, OptimizerState, TrainConfig,
+                                adamw_step, lr_at, sample_timestep, train)
 from curveflow.velocity import VelocityField
 
 
@@ -40,7 +40,7 @@ def test_adamw_zero_gradient_geometric_decay():
     lr = 1e-2
     for k in range(1, 6):
         params = adamw_step(params, {"x": np.asarray(0.0)}, state, lr)
-        assert abs(params["x"] - 2.0 * (1.0 - lr * state.weight_decay) ** k) < 1e-12
+        assert abs(params["x"] - 2.0 * (1.0 - lr * WEIGHT_DECAY) ** k) < 1e-12
 
 
 def test_adamw_elementwise():
