@@ -81,8 +81,8 @@ def run_experiment(config):
 def evaluate_model(config, schedule, model, held_out):
     """Energy distance / sliced Wasserstein vs held-out, plus geometry."""
     n = min(config.metrics.eval_count, held_out.shape[0])
-    samples = sample_batch(lambda z, t: model(z, t), n, held_out.shape[1],
-                           config.metrics.seed, config.solver)
+    samples = sample_batch(model, n, held_out.shape[1], config.metrics.seed,
+                           config.solver)
     ref = held_out[:n]
     ed = metrics.energy_distance(samples, ref, seed=config.metrics.seed)
     sw = metrics.sliced_wasserstein(samples, ref,
@@ -109,24 +109,17 @@ def _diagnostic_pairs(config, count=64):
 
 
 def cmd_train(args):
-    try:
-        config = _load_config_with_overrides(args)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+    config = _load_config_with_overrides(args)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     try:
         result, schedule, model, _, _ = run_experiment(config)
     except DivergenceError as exc:
-        print("training diverged at step %s: %s" % (exc.step, exc),
-              file=sys.stderr)
-        if exc.params is not None:
-            save_checkpoint(os.path.join(outdir, "checkpoint.json"),
-                            Checkpoint(config, exc.params, exc.step))
-            write_history_csv(os.path.join(outdir, "history.csv"),
-                              exc.history or [])
-        return EXIT_DIVERGED
+        # keep the last finite state; main reports the divergence
+        save_checkpoint(os.path.join(outdir, "checkpoint.json"),
+                        Checkpoint(config, exc.params, exc.step))
+        write_history_csv(os.path.join(outdir, "history.csv"), exc.history)
+        raise
     save_checkpoint(os.path.join(outdir, "checkpoint.json"),
                     Checkpoint(config, result.params, result.steps))
     write_history_csv(os.path.join(outdir, "history.csv"), result.history)
@@ -163,30 +156,16 @@ def load_run(path):
 
 
 def cmd_sample(args):
-    try:
-        ckpt, model, _ = load_run(args.checkpoint)
-    except CheckpointError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+    ckpt, model, _ = load_run(args.checkpoint)
     config = ckpt.config
-    solver = SolverConfig(method=args.method or config.solver.method,
-                          steps=args.steps or config.solver.steps)
-    try:
-        solver.validate()
-        if args.count < 1:
-            raise ConfigError("count must be >= 1")
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    seed = args.seed if args.seed is not None else config.metrics.seed
+    solver = SolverConfig(
+        method=config.solver.method if args.method is None else args.method,
+        steps=config.solver.steps if args.steps is None else args.steps)
+    seed = config.metrics.seed if args.seed is None else args.seed
+    # sample_batch validates the count and the solver before any output
+    samples = sample_batch(model, args.count, 2, seed, solver)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    try:
-        samples = sample_batch(lambda z, t: model(z, t), args.count, 2,
-                               seed, solver)
-    except DivergenceError as exc:
-        print("sampling diverged: %s" % exc, file=sys.stderr)
-        return EXIT_DIVERGED
     datagen.export_csv(os.path.join(outdir, "samples.csv"), samples)
     _, held_out = datagen.generate_split(config.data)
     svgplot.scatter(os.path.join(outdir, "samples.svg"),
@@ -203,28 +182,18 @@ def _subset(params, prefix):
 
 def cmd_analyze(args):
     if bool(args.checkpoint) == bool(args.schedule):
-        print("error: pass exactly one of --checkpoint or --schedule",
-              file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        if args.checkpoint:
-            ckpt, _, schedule = load_run(args.checkpoint)
-            config = ckpt.config
-        else:
-            config = ExperimentConfig()
-            schedule = make_schedule(args.schedule)
-    except (CheckpointError, ConfigError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    grid = GridSpec(config.train.grid_m)
+        raise ConfigError("pass exactly one of --checkpoint or --schedule")
+    if args.checkpoint:
+        ckpt, _, schedule = load_run(args.checkpoint)
+        config = ckpt.config
+    else:
+        config = ExperimentConfig()
+        schedule = make_schedule(args.schedule)
+    report = metrics.schedule_diagnostics(schedule,
+                                          GridSpec(config.train.grid_m),
+                                          _diagnostic_pairs(config))
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    try:
-        report = metrics.schedule_diagnostics(schedule, grid,
-                                              _diagnostic_pairs(config))
-    except DegenerateTrajectoryError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DIVERGED
     csv_path = os.path.join(outdir, "curvature_profile.csv")
     with open(csv_path, "w") as fh:
         fh.write("t,mean_kappa,det\n")
@@ -241,13 +210,9 @@ def cmd_analyze(args):
 
 
 def cmd_compare(args):
-    try:
-        config = _load_config_with_overrides(args)
-        if not config.lambda_grid:
-            raise ConfigError("lambda_grid is empty")
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+    config = _load_config_with_overrides(args)
+    if not config.lambda_grid:
+        raise ConfigError("lambda_grid is empty")
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
 
@@ -368,8 +333,21 @@ def make_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; the one place that maps errors to exit codes.
+
+    Only errors in the input and numerical divergence become exit codes.
+    Any other exception, a ``ValueError`` such as ``ShapeError`` included,
+    is a fault in the program and propagates as a traceback.
+    """
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, CheckpointError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
+    except (DivergenceError, DegenerateTrajectoryError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

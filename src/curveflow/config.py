@@ -1,11 +1,13 @@
 """Experiment configuration and checkpoint persistence (JSON, versioned).
 
 Floats are serialized with Python's shortest round-trip repr, so a reload
-reproduces every 64-bit value exactly. Unknown config fields are rejected.
+reproduces every 64-bit value exactly. Unknown config fields are rejected,
+and so is a value whose JSON type does not fit its field's declared type.
 """
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -73,68 +75,57 @@ class ExperimentConfig:
     def validate(self):
         if self.format_version != FORMAT_VERSION:
             raise ConfigError("unsupported format_version %r" % self.format_version)
-        self.data.validate()
-        self.schedule.validate()
-        self.model.validate()
-        self.train.validate()
-        self.solver.validate()
-        self.metrics.validate()
+        for f in dataclasses.fields(self):
+            if dataclasses.is_dataclass(f.type):
+                getattr(self, f.name).validate()
         for lam in self.lambda_grid:
             if lam < 0:
                 raise ConfigError("lambda_grid entries must be >= 0")
         return self
 
 
-_SECTIONS = {
-    "data": DatasetSpec,
-    "schedule": ScheduleConfig,
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "solver": SolverConfig,
-    "metrics": MetricsConfig,
-}
+def _typed(value, kind, where):
+    """``value`` if its type fits ``kind``; ints fit floats, bools only bools.
+
+    Values are not converted, so a config's ints stay ints in its manifest.
+    NaN and infinity, which Python's json reads, fit no field.
+    """
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)
+            or kind is float and not math.isfinite(value)):
+        raise ConfigError("%s must be of type %s, got %r"
+                          % (where, kind.__name__, value))
+    return value
 
 
 def _dataclass_from_dict(cls, doc, where):
+    """Build ``cls`` from a JSON object, walking nested dataclass fields."""
     if not isinstance(doc, dict):
-        raise ConfigError("section %r must be an object" % where)
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - names
+        raise ConfigError("%s must be an object" % where)
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(kinds)
     if unknown:
         raise ConfigError("unknown field(s) in %s: %s"
                           % (where, ", ".join(sorted(unknown))))
-    return cls(**doc)
+    kwargs = {}
+    for name, value in doc.items():
+        kind = kinds[name]
+        if dataclasses.is_dataclass(kind):
+            kwargs[name] = _dataclass_from_dict(kind, value, name)
+        elif kind is list:  # lambda_grid, the one list field, holds floats
+            kwargs[name] = [float(_typed(x, float, name))
+                            for x in _typed(value, list, name)]
+        else:
+            kwargs[name] = _typed(value, kind, "%s.%s" % (where, name))
+    return cls(**kwargs)
 
 
 def config_from_dict(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {"format_version", "lambda_grid"} | set(_SECTIONS)
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError("unknown field(s): %s" % ", ".join(sorted(unknown)))
-    kwargs = {}
-    if "format_version" in doc:
-        kwargs["format_version"] = doc["format_version"]
-    if "lambda_grid" in doc:
-        kwargs["lambda_grid"] = [float(x) for x in doc["lambda_grid"]]
-    for name, cls in _SECTIONS.items():
-        if name in doc:
-            kwargs[name] = _dataclass_from_dict(cls, doc[name], name)
-    return ExperimentConfig(**kwargs).validate()
+    return _dataclass_from_dict(ExperimentConfig, doc, "config").validate()
 
 
 def config_to_dict(config):
-    return {
-        "format_version": config.format_version,
-        "data": dataclasses.asdict(config.data),
-        "schedule": dataclasses.asdict(config.schedule),
-        "model": dataclasses.asdict(config.model),
-        "train": dataclasses.asdict(config.train),
-        "solver": dataclasses.asdict(config.solver),
-        "metrics": dataclasses.asdict(config.metrics),
-        "lambda_grid": list(config.lambda_grid),
-    }
+    return dataclasses.asdict(config)
 
 
 def load_config(path):

@@ -42,7 +42,6 @@ class LossReport:
     fm_loss: float
     curvature_loss: float
     total: float
-    lam: float
     lr: float = 0.0
 
 

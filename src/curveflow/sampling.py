@@ -43,7 +43,7 @@ def integrate(velocity, z_start, config):
             z_next = z - 0.5 * h * (v1 + v2)
         z = z_next
         if not np.all(np.isfinite(z)):
-            raise DivergenceError("integration diverged at step %d" % k, step=k)
+            raise DivergenceError("sampling diverged at step %d" % k, step=k)
     return z
 
 
@@ -52,4 +52,4 @@ def sample_batch(model, count, dim, seed, config):
     if count < 1:
         raise ConfigError("count must be >= 1")
     eps = sample_noise(count, dim, seed)
-    return integrate(lambda z, t: model(z, t), eps, config)
+    return integrate(model, eps, config)

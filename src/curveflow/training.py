@@ -120,9 +120,10 @@ class TrainResult:
 def train(config, dataset, schedule, model):
     """Run the optimization loop; returns TrainResult with per-step history.
 
-    Raises DivergenceError (carrying the last valid state) if a loss or
-    gradient goes non-finite. Any other exception from the loss is a fault
-    in the program, not divergence, and propagates unchanged.
+    Raises DivergenceError (carrying the parameters and history from before
+    the failed step) if a loss or gradient goes non-finite. Any other
+    exception from the loss is a fault in the program, not divergence, and
+    propagates unchanged.
     """
     config.validate()
     data = np.atleast_2d(np.asarray(dataset, dtype=float))
@@ -151,35 +152,27 @@ def train(config, dataset, schedule, model):
             t = sample_timestep(config.timestep_sampler, rng, size=len(idx))
 
             leaves = {name: Tensor(arr) for name, arr in params.items()}
+            lr = lr_at(step, total_steps, config)
             try:
                 fm, reg = total_loss_graph((x0, eps, t), model, schedule, grid,
                                            config.lam, leaves)
                 backward(fm + reg)
-            except (NonFiniteError, NonFiniteInputError) as exc:
-                raise DivergenceError("loss evaluation failed at step %d: %s"
-                                      % (step, exc), step=step, params=params,
-                                      history=history) from exc
-
-            grads = {}
-            for name in trainable:
-                g = leaves[name].grad
-                grads[name] = np.zeros_like(params[name]) if g is None else g
-
-            lr = lr_at(step, total_steps, config)
-            try:
+                grads = {}
+                for name in trainable:
+                    g = leaves[name].grad
+                    grads[name] = np.zeros_like(params[name]) if g is None else g
                 params = adamw_step(params, grads, state, lr, names=trainable)
-            except DivergenceError as exc:
-                exc.step = step
-                exc.params = params
-                exc.history = history
-                raise
+            except (NonFiniteError, NonFiniteInputError, DivergenceError) as exc:
+                # ``params`` is still the pre-step state: the update raised
+                raise DivergenceError("training diverged at step %d: %s"
+                                      % (step, exc), step, params,
+                                      history) from exc
 
             fm_val = float(value_of(fm))
             reg_val = float(value_of(reg))
             history.append(LossReport(step=step, fm_loss=fm_val,
                                       curvature_loss=reg_val,
-                                      total=fm_val + reg_val,
-                                      lam=config.lam, lr=lr))
+                                      total=fm_val + reg_val, lr=lr))
             step += 1
 
     # push the trained arrays back into the owning objects

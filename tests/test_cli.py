@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import curveflow
 from curveflow import cli, config
 from curveflow.config import (config_from_dict, config_to_dict,
                               load_checkpoint, save_checkpoint)
 from curveflow.engine import ParameterSet
-from curveflow.errors import CheckpointError, ConfigError
+from curveflow.errors import (CheckpointError, ConfigError,
+                              DegenerateTrajectoryError, ShapeError)
 from curveflow.velocity import VelocityField
 
 
@@ -341,3 +346,86 @@ def test_config_round_trip_fixed_point(tmp_path):
 def test_config_rejects_unknown_top_level():
     with pytest.raises(ConfigError):
         config_from_dict({"surprise": 1})
+
+
+def test_train_divergence_message(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_config(base_lr=1e18, epochs=2))
+    with np.errstate(all="ignore"):
+        assert cli.main(["train", "--config", cfg,
+                         "--out", str(tmp_path / "div")]) == 3
+    assert "training diverged at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--method", "")])
+def test_sample_rejects_falsy_overrides(tmp_path, flag, value):
+    # a given 0 or "" is validated, not replaced by the config's value
+    ckpt = _trained_checkpoint(tmp_path)
+    out = tmp_path / "x"
+    assert cli.main(["sample", "--checkpoint", ckpt, flag, value,
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _edited_config(section, field, value):
+    doc = small_config()
+    if section is None:
+        doc[field] = value
+    else:
+        doc[section][field] = value
+    return doc
+
+
+BAD_VALUES = [("train", "epochs", "5"), ("solver", "steps", None),
+              (None, "lambda_grid", ["x"]), ("train", "epochs", 1.5),
+              ("train", "train_schedule", "no"), ("train", "epochs", True),
+              ("train", "base_lr", float("nan")),
+              (None, "lambda_grid", [float("inf")])]
+
+
+@pytest.mark.parametrize("section,field,value", BAD_VALUES)
+def test_train_rejects_bad_config_value(tmp_path, capsys, section, field,
+                                        value):
+    cfg = write_config(tmp_path, _edited_config(section, field, value))
+    assert cli.main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "x")]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_config_int_fits_float_field_unconverted():
+    doc = small_config(base_lr=1)
+    assert config_to_dict(config_from_dict(doc))["train"]["base_lr"] == 1
+    assert type(config_from_dict(doc).train.base_lr) is int
+
+
+def test_analyze_degenerate_schedule_exits_3(tmp_path, monkeypatch, capsys):
+    def degenerate(schedule, grid, pairs):
+        raise DegenerateTrajectoryError("every pair's speed vanishes")
+
+    monkeypatch.setattr(cli.metrics, "schedule_diagnostics", degenerate)
+    assert cli.main(["analyze", "--schedule", "linear",
+                     "--out", str(tmp_path / "an")]) == 3
+    assert "speed vanishes" in capsys.readouterr().err
+
+
+def test_program_fault_is_not_invalid_input(tmp_path, monkeypatch):
+    # ShapeError is a ValueError that means a bug; main must not map it to 2
+    def faulty(schedule, grid, pairs):
+        raise ShapeError("mismatched grid")
+
+    monkeypatch.setattr(cli.metrics, "schedule_diagnostics", faulty)
+    with pytest.raises(ShapeError):
+        cli.main(["analyze", "--schedule", "linear",
+                  "--out", str(tmp_path / "an")])
+
+
+def test_console_entry_point_exit_status(tmp_path):
+    cfg = write_config(tmp_path, _edited_config("train", "epochs", "5"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(curveflow.__file__))
+    proc = subprocess.run([sys.executable, "-m", "curveflow.cli", "train",
+                           "--config", cfg, "--out", str(tmp_path / "x")],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "error: train.epochs" in proc.stderr
+    assert "Traceback" not in proc.stderr
