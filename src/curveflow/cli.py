@@ -222,8 +222,8 @@ def cmd_compare(args):
         variants.append(("curveflow_lam_%g" % lam, "neural", lam,
                          config.train.timestep_sampler))
 
-    # every variant gets a row, so a diverged one is not dropped silently
-    diverged = []
+    # every variant gets a row, so a failed one is not dropped silently
+    failed = []
     results_path = os.path.join(outdir, "results.csv")
     with open(results_path, "w") as fh:
         fh.write("variant,lambda,energy_distance,sliced_wasserstein,"
@@ -236,10 +236,12 @@ def cmd_compare(args):
             try:
                 _, schedule, model, _, held_out = run_experiment(vcfg)
                 report, _ = evaluate_model(vcfg, schedule, model, held_out)
-            except DivergenceError as exc:
-                print("variant %s diverged: %s" % (name, exc), file=sys.stderr)
-                diverged.append(name)
-                fh.write("%s,%s,,,,diverged\n" % (name, _fmt(lam)))
+            except (DivergenceError, DegenerateTrajectoryError) as exc:
+                status = ("diverged" if isinstance(exc, DivergenceError)
+                          else "degenerate")
+                print("variant %s %s: %s" % (name, status, exc), file=sys.stderr)
+                failed.append("%s (%s)" % (name, status))
+                fh.write("%s,%s,,,,%s\n" % (name, _fmt(lam), status))
                 fh.flush()
                 continue
             fh.write("%s,%s,%s,%s,%s,ok\n"
@@ -250,8 +252,8 @@ def cmd_compare(args):
             print("%s: energy=%.4f sliced_w=%.4f det_integral=%.6f"
                   % (name, report.energy_distance, report.sliced_wasserstein,
                      report.determinant_integral))
-    if diverged:
-        print("diverged variants: %s" % ", ".join(diverged), file=sys.stderr)
+    if failed:
+        print("failed variants: %s" % ", ".join(failed), file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
 

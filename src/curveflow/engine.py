@@ -2,9 +2,9 @@
 
 A deliberately small tape: enough primitives for MLPs and the losses built
 on them (add, multiply, divide, matmul, tanh, SiLU, square, sum, plus
-reshape/concat plumbing). All arithmetic is float64. Every operation
-checks its result for finiteness, so a NaN/inf surfaces as an error naming
-the primitive that produced it.
+reshape/concat plumbing). All arithmetic is float64. Operations do not
+check their results: a NaN/inf propagates like numpy's, and the training
+loop checks the loss and the gradients once per step.
 
 The generic helpers (``tanh``, ``silu``, ``square``) dispatch on type, so
 the same forward code runs on plain ndarrays (used by the
@@ -20,12 +20,6 @@ from scipy.special import expit
 
 class EngineError(Exception):
     pass
-
-
-class NonFiniteError(EngineError):
-    def __init__(self, op):
-        super().__init__("non-finite value produced by primitive '%s'" % op)
-        self.primitive = op
 
 
 def _unbroadcast(grad, shape):
@@ -46,8 +40,6 @@ class Tensor:
 
     def __init__(self, value, op="leaf", parents=(), vjps=()):
         self.value = np.asarray(value, dtype=float)
-        if not np.all(np.isfinite(self.value)):
-            raise NonFiniteError(op)
         self.grad = None
         self.op = op
         self._parents = parents
@@ -151,8 +143,7 @@ def divide(a, b):
     # (49 * (1 / 49) != 1, but 49 / 49 == 1)
     a, b = _lift(a), _lift(b)
     av, bv = a.value, b.value
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = av / bv
+    y = av / bv
     return Tensor(y, "divide", (a, b),
                   (lambda g: _unbroadcast(g / bv, av.shape),
                    lambda g: _unbroadcast(-g * y / bv, bv.shape)))

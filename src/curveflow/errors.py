@@ -17,10 +17,6 @@ class DegenerateTrajectoryError(ValueError):
     """Trajectory speed vanishes; curvature is undefined."""
 
 
-class NonFiniteInputError(ValueError):
-    """A model received a NaN or infinite input."""
-
-
 class DivergenceError(RuntimeError):
     """A numerical process produced a non-finite value.
 

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (NonFiniteError, ParameterSet, Tensor, backward,
-                     merge_params, value_of)
-from .errors import ConfigError, DivergenceError, NonFiniteInputError
+from .engine import ParameterSet, Tensor, backward, merge_params, value_of
+from .errors import ConfigError, DivergenceError
 from .losses import LossReport, total_loss_graph
 from .schedules import GridSpec
 
@@ -120,8 +119,10 @@ class TrainResult:
 def train(config, dataset, schedule, model):
     """Run the optimization loop; returns TrainResult with per-step history.
 
-    Raises DivergenceError (carrying the parameters and history from before
-    the failed step) if a loss or gradient goes non-finite. Any other
+    Divergence is checked twice per step: the loss must be finite before
+    ``backward``, and ``adamw_step`` checks every trainable gradient. Either
+    raises DivergenceError carrying the parameters and history from before
+    the failed step; intermediate tape values are not checked. Any other
     exception from the loss is a fault in the program, not divergence, and
     propagates unchanged.
     """
@@ -156,13 +157,16 @@ def train(config, dataset, schedule, model):
             try:
                 fm, reg = total_loss_graph((x0, eps, t), model, schedule, grid,
                                            config.lam, leaves)
-                backward(fm + reg)
+                loss = fm + reg
+                if not np.isfinite(value_of(loss)):
+                    raise DivergenceError("non-finite loss")
+                backward(loss)
                 grads = {}
                 for name in trainable:
                     g = leaves[name].grad
                     grads[name] = np.zeros_like(params[name]) if g is None else g
                 params = adamw_step(params, grads, state, lr, names=trainable)
-            except (NonFiniteError, NonFiniteInputError, DivergenceError) as exc:
+            except DivergenceError as exc:
                 # ``params`` is still the pre-step state: the update raised
                 raise DivergenceError("training diverged at step %d: %s"
                                       % (step, exc), step, params,

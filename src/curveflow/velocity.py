@@ -8,7 +8,7 @@ with a neural schedule during training.
 import numpy as np
 
 from .engine import ParameterSet, concat, silu, value_of
-from .errors import ConfigError, NonFiniteInputError
+from .errors import ConfigError
 from .schedules import sinusoidal_features
 
 
@@ -45,14 +45,11 @@ class VelocityField:
     def __call__(self, z, t, params=None):
         """Velocity at (z, t); z is (n,) or (batch, n), t scalar or (batch,)."""
         p = self.params if params is None else params
-        zv = value_of(z)
-        single = zv.ndim == 1
+        shape = value_of(z).shape
+        single = len(shape) == 1
         if single:
-            z = z.reshape(1, -1)
-            zv = value_of(z)
-        if not np.all(np.isfinite(zv)):
-            raise NonFiniteInputError("non-finite input to velocity field")
-        t = np.broadcast_to(np.asarray(t, dtype=float), (zv.shape[0],))
+            z, shape = z.reshape(1, -1), (1,) + shape
+        t = np.broadcast_to(np.asarray(t, dtype=float), shape[:1])
         temb = sinusoidal_features(t, self.time_features)
         h = concat(z, temb, axis=1)
         h = silu(h @ p["v/w0"] + p["v/b0"])

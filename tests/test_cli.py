@@ -305,6 +305,29 @@ def test_compare_reports_diverged_variants(tmp_path):
         assert (r[2:5] == ["", "", ""]) == (r[5] == "diverged")
 
 
+def test_compare_keeps_degenerate_variants(tmp_path, monkeypatch, capsys):
+    diagnostics = cli.metrics.schedule_diagnostics
+
+    def degenerate_if_neural(schedule, grid, pairs):
+        if isinstance(schedule, cli.NeuralSchedule):
+            raise DegenerateTrajectoryError("every pair's speed vanishes")
+        return diagnostics(schedule, grid, pairs)
+
+    monkeypatch.setattr(cli.metrics, "schedule_diagnostics",
+                        degenerate_if_neural)
+    cfg = write_config(tmp_path, small_config())
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 3
+    rows = [r.split(",") for r in
+            (out / "results.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[5]) for r in rows] == [
+        ("rf_uniform", "ok"), ("rf_logit_normal", "ok"),
+        ("curveflow_lam_0", "degenerate"), ("curveflow_lam_0.01", "degenerate")]
+    assert all(r[2:5] == ["", "", ""] for r in rows[2:])
+    assert "failed variants: curveflow_lam_0 (degenerate)" in \
+        capsys.readouterr().err
+
+
 def test_compare_empty_grid(tmp_path):
     doc = small_config()
     doc["lambda_grid"] = []

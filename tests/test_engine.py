@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from curveflow.engine import (EngineError, NonFiniteError, ParameterSet,
-                              Tensor, concat, evaluate_with_gradients,
+from curveflow.engine import (EngineError, ParameterSet, Tensor, concat,
+                              evaluate_with_gradients,
                               finite_difference_gradient, max_relative_error,
                               merge_params, silu, square, tanh)
 
@@ -131,13 +131,6 @@ def test_ndarray_operands_use_reflected_operators():
         assert np.array_equal(out.value, value)
 
 
-def test_non_finite_intermediate_names_primitive():
-    x = Tensor(1e200)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as exc:
-        x.square()
-    assert exc.value.primitive == "square"
-
-
 def test_division_is_true_division():
     # 49 * (1 / 49) rounds to 1 - 2^-53; on the tape, as in numpy, x / x
     # must stay exactly 1 whichever way the division is spelled
@@ -145,9 +138,6 @@ def test_division_is_true_division():
     for q in (Tensor(x) / Tensor(x), Tensor(x) / x, x / Tensor(x)):
         assert q.op == "divide"
         assert np.all(q.value == 1.0)
-    with pytest.raises(NonFiniteError) as exc:
-        1.0 / Tensor(0.0)
-    assert exc.value.primitive == "divide"
 
 
 def test_shared_subexpression_gradient():

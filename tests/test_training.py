@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from curveflow import training
 from curveflow.datagen import DatasetSpec, generate
-from curveflow.engine import ParameterSet
+from curveflow.engine import ParameterSet, Tensor
 from curveflow.errors import ConfigError, DivergenceError
 from curveflow.schedules import LinearSchedule, NeuralSchedule
 from curveflow.training import (WEIGHT_DECAY, OptimizerState, TrainConfig,
@@ -174,6 +175,73 @@ def test_program_errors_are_not_reported_as_divergence():
     with pytest.raises(DivergenceError) as exc:
         train(cfg, small_dataset(count=16), LinearSchedule(), NaNModel())
     assert exc.value.step == 0
+
+
+def _diverge_at_step_2(monkeypatch, schedule, lam, poison):
+    """Train 2 epochs of 2 steps with the loss terms of step 2 poisoned.
+
+    Returns the DivergenceError and a clean run of the first 2 steps (the
+    warmup makes their learning rates independent of the total).
+    """
+    data = small_dataset(count=32)
+
+    def run(epochs):
+        cfg = TrainConfig(epochs=epochs, batch_size=16, lam=lam, grid_m=16,
+                          seed=0, train_schedule=lam > 0)
+        model = VelocityField.initialize(2, seed=0, hidden=8, time_features=4)
+        return train(cfg, data, schedule(), model)
+
+    reference = run(1)
+    real = training.total_loss_graph
+    calls = []
+
+    def poisoned(batch, model, schedule, grid, lam, params):
+        fm, reg = real(batch, model, schedule, grid, lam, params)
+        calls.append(fm)
+        if len(calls) == 3:
+            fm, reg = poison(fm, reg, params)
+        return fm, reg
+
+    monkeypatch.setattr(training, "total_loss_graph", poisoned)
+    with pytest.raises(DivergenceError) as exc:
+        run(2)
+    assert len(calls) == 3
+    return exc.value, reference
+
+
+def _assert_pre_step_state(exc, reference):
+    assert exc.step == 2
+    assert [r.total for r in exc.history] == \
+        [r.total for r in reference.history]
+    for name in reference.params:
+        assert np.array_equal(exc.params[name], reference.params[name])
+
+
+def test_non_finite_regularizer_diverges_with_pre_step_state(monkeypatch):
+    def infinite_reg(fm, reg, params):
+        assert np.isfinite(fm.value)
+        return fm, reg + np.inf
+
+    exc, reference = _diverge_at_step_2(
+        monkeypatch, lambda: NeuralSchedule(hidden=8, embed=8, seed=0), 0.01,
+        infinite_reg)
+    assert str(exc) == "training diverged at step 2: non-finite loss"
+    _assert_pre_step_state(exc, reference)
+
+
+def test_nan_gradient_of_finite_loss_diverges(monkeypatch):
+    # a node of value 0 whose VJP returns NaN leaves the loss finite
+    def nan_gradient(fm, reg, params):
+        leaf = params["v/b3"]
+        node = Tensor(0.0, "nan_vjp", (leaf,),
+                      (lambda g: np.full(leaf.shape, np.nan),))
+        return fm + node, reg
+
+    exc, reference = _diverge_at_step_2(monkeypatch, LinearSchedule, 0.0,
+                                        nan_gradient)
+    assert str(exc) == ("training diverged at step 2: "
+                        "non-finite gradient for 'v/b3'")
+    _assert_pre_step_state(exc, reference)
 
 
 def test_fm_loss_decreases_smoke():
