@@ -2,12 +2,12 @@
 
 A deliberately small tape: enough primitives for MLPs and the losses built
 on them (add, multiply, divide, matmul, tanh, SiLU, square, sum, plus
-reshape/concat plumbing). All arithmetic is float64. Operations do not
+reshape/take/concat plumbing). All arithmetic is float64. Operations do not
 check their results: a NaN/inf propagates like numpy's, and the training
 loop checks the loss and the gradients once per step.
 
-The generic helpers (``tanh``, ``silu``, ``square``) dispatch on type, so
-the same forward code runs on plain ndarrays (used by the
+The generic helpers (``tanh``, ``silu``, ``square``, ``take``) dispatch
+on type, so the same forward code runs on plain ndarrays (used by the
 finite-difference oracle) and on tape nodes (used for gradients). Tensors
 opt out of numpy's ufunc protocol (NEP 13), so ``ndarray (op) Tensor``
 goes to the Tensor's reflected operator and ``np.sin(Tensor)`` raises
@@ -165,16 +165,11 @@ def concat(a, b, axis=-1):
         return np.concatenate([np.asarray(a, float), np.asarray(b, float)], axis=axis)
     a, b = _lift(a), _lift(b)
     av, bv = a.value, b.value
-    ax = axis % av.ndim
-    na = av.shape[ax]
-
-    def take(g, start, stop):
-        index = [slice(None)] * av.ndim
-        index[ax] = slice(start, stop)
-        return np.asarray(g)[tuple(index)]
-
+    lead = (slice(None),) * (axis % av.ndim)
+    na = av.shape[len(lead)]
     return Tensor(np.concatenate([av, bv], axis=axis), "concat", (a, b),
-                  (lambda g: take(g, 0, na), lambda g: take(g, na, None)))
+                  (lambda g: take(g, lead + (slice(0, na),)),
+                   lambda g: take(g, lead + (slice(na, None),))))
 
 
 # generic (ndarray | Tensor) math helpers -------------------------------
@@ -189,6 +184,20 @@ def silu(x):
 
 def square(x):
     return x.square() if isinstance(x, Tensor) else np.square(x)
+
+
+def take(x, index):
+    """``x[index]`` for a basic index; the backward scatters into zeros."""
+    if not isinstance(x, Tensor):
+        return np.asarray(x, dtype=float)[index]
+    shape = x.value.shape
+
+    def vjp(g):
+        full = np.zeros(shape)
+        full[index] = g
+        return full
+
+    return Tensor(x.value[index], "take", (x,), (vjp,))
 
 
 def value_of(x):

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
-from .engine import ParameterSet, tanh, value_of
+from .engine import ParameterSet, take, tanh, value_of
 from .errors import ConfigError, DomainError
 
 _HALF_PI = 0.5 * np.pi
@@ -80,7 +79,7 @@ def _check_domain(t):
 
 
 class CoefficientSchedule:
-    """Base class; subclasses provide a(t), b(t) and their derivatives."""
+    """Base class; subclasses provide the derivatives, a(t) and b(t) follow."""
 
     kind = "abstract"
 
@@ -88,13 +87,14 @@ class CoefficientSchedule:
         self.params = ParameterSet({})
 
     def a(self, t, params=None):
-        raise NotImplementedError
+        return pointwise_derivatives(self, t, params).a
 
     def b(self, t, params=None):
-        raise NotImplementedError
+        return pointwise_derivatives(self, t, params).b
 
-    def derivatives(self, t, h, params=None):
-        """DerivativeGrid at t; ``h`` is the step of any finite difference."""
+    def derivatives(self, nodes, h, params=None):
+        """DerivativeGrid at ``nodes[1:-1]`` along axis 0, whose neighbours
+        along axis 0 lie ``h`` before and after them."""
         raise NotImplementedError
 
 
@@ -109,14 +109,8 @@ class _AnalyticSchedule(CoefficientSchedule):
     def fields(t):
         raise NotImplementedError
 
-    def a(self, t, params=None):
-        return self.fields(_check_domain(t))[0]
-
-    def b(self, t, params=None):
-        return self.fields(_check_domain(t))[1]
-
-    def derivatives(self, t, h, params=None):
-        return DerivativeGrid(*self.fields(_check_domain(t)))
+    def derivatives(self, nodes, h, params=None):
+        return DerivativeGrid(*self.fields(_check_domain(nodes[1:-1])))
 
 
 class LinearSchedule(_AnalyticSchedule):
@@ -187,7 +181,7 @@ class NeuralSchedule(CoefficientSchedule):
         h = tanh(feats @ p["%s/w0" % prefix] + p["%s/b0" % prefix])
         h = tanh(h @ p["%s/w1" % prefix] + p["%s/b1" % prefix])
         out = h @ p["%s/w2" % prefix] + p["%s/b2" % prefix]
-        return out.reshape(np.atleast_1d(np.asarray(t, float)).shape)
+        return out.reshape(t.shape)
 
     def residual_term(self, prefix, t, params=None):
         """t (1 - t) f(t) — the part of a/b beyond the linear base."""
@@ -195,30 +189,15 @@ class NeuralSchedule(CoefficientSchedule):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return (t * (1.0 - t)) * self._residual_net(prefix, t, p)
 
-    def _eval(self, prefix, base, t, params):
-        t_in = _check_domain(t)
-        scalar = np.ndim(t_in) == 0
-        t1 = np.atleast_1d(t_in)
-        out = base(t1) + self.residual_term(prefix, t1, params)
-        if scalar and not isinstance(out, engine.Tensor):
-            return float(out[0])
-        return out
-
-    def a(self, t, params=None):
-        return self._eval("a", lambda t1: 1.0 - t1, t, params)
-
-    def b(self, t, params=None):
-        return self._eval("b", lambda t1: t1 + 0.0, t, params)
-
-    def derivatives(self, t, h, params=None):
+    def derivatives(self, nodes, h, params=None):
         # The linear base is differentiated exactly; the residual term takes
-        # one central difference at t - h, t, t + h. t (1 - t) f(t) is
-        # smooth past 0 and 1, so the stencil is never clamped. With zeroed
-        # residual nets this is the linear schedule exactly.
-        t = np.atleast_1d(_check_domain(t))
-        stencil = (t - h, t, t + h)
-        ra = [self.residual_term("a", ts, params) for ts in stencil]
-        rb = [self.residual_term("b", ts, params) for ts in stencil]
+        # one central difference: each residual net runs once over all nodes
+        # and the -h/0/+h values are its slices. t (1 - t) f(t) is smooth
+        # past 0 and 1, so the outer nodes may lie outside [0, 1]. With
+        # zeroed residual nets this is the linear schedule exactly.
+        t = _check_domain(nodes[1:-1])
+        ra = _stencil(self.residual_term("a", nodes, params))
+        rb = _stencil(self.residual_term("b", nodes, params))
         inv2 = 1.0 / (2.0 * h)
         invsq = 1.0 / (h * h)
         return DerivativeGrid(
@@ -229,6 +208,12 @@ class NeuralSchedule(CoefficientSchedule):
             (ra[2] - 2.0 * ra[1] + ra[0]) * invsq,
             (rb[2] - 2.0 * rb[1] + rb[0]) * invsq,
         )
+
+
+def _stencil(r):
+    """Values of ``r`` at nodes i - 1, i, i + 1 for every middle node i."""
+    return (take(r, slice(None, -2)), take(r, slice(1, -1)),
+            take(r, slice(2, None)))
 
 
 _KINDS = {
@@ -248,19 +233,24 @@ def make_schedule(kind, **kwargs):
 
 
 def pointwise_derivatives(schedule, t, params=None):
-    """DerivativeGrid at the flow-matching target's times t.
+    """DerivativeGrid at the flow-matching target's times t, shaped like t.
 
     Analytic kinds give closed forms. The neural schedule steps by
-    TARGET_STEP, whatever the regularizer's grid.
+    TARGET_STEP, whatever the regularizer's grid: its nodes are the rows
+    t - h, t, t + h.
     """
-    return schedule.derivatives(t, TARGET_STEP, params)
+    t = np.asarray(t, dtype=float)
+    h = TARGET_STEP
+    dg = schedule.derivatives(np.stack([t - h, t, t + h]), h, params)
+    return DerivativeGrid(*(f.reshape(t.shape) for f in vars(dg).values()))
 
 
 def grid_derivatives(schedule, grid, params=None):
     """DerivativeGrid at the interior grid nodes.
 
-    Analytic kinds give closed forms. The neural schedule steps by the grid
-    spacing: a fixed 1e-3 leaves enough roundoff in its second differences
-    to fail the finite-difference gradient check on a 16-node grid.
+    Analytic kinds give closed forms. The neural schedule differences its
+    residual over the grid nodes, with the grid spacing as step: a fixed
+    1e-3 leaves enough roundoff in its second differences to fail the
+    finite-difference gradient check on a 16-node grid.
     """
-    return schedule.derivatives(grid.interior, grid.dt, params)
+    return schedule.derivatives(grid.nodes, grid.dt, params)

@@ -4,7 +4,7 @@ import pytest
 from curveflow.engine import (EngineError, ParameterSet, Tensor, concat,
                               evaluate_with_gradients,
                               finite_difference_gradient, max_relative_error,
-                              merge_params, silu, square, tanh)
+                              merge_params, silu, square, take, tanh)
 
 
 def test_square_value_and_gradient():
@@ -57,6 +57,9 @@ def test_mlp_gradient_matches_finite_differences():
     ("silu", lambda x: silu(x).sum()),
     ("square", lambda x: square(x).sum()),
     ("divide", lambda x: (x / (x * x + 1.0) + 2.0 / (x * x + 2.0)).sum()),
+    ("take", lambda x: square(take(x, slice(1, 4))).sum()),
+    ("take_axis0", lambda x: square(take(
+        x.reshape(5, 1) * np.array([1.0, -2.0, 0.5]), slice(2, None))).sum()),
 ])
 def test_primitive_gradients_vs_finite_differences(name, fn):
     # >= 100 random draws across the parametrized primitives
