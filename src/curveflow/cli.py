@@ -101,7 +101,7 @@ def _diagnostic_pairs(config, count=64):
                                seed=config.data.seed,
                                noise_std=config.data.noise_std)
     x0s = datagen.generate(spec)
-    eps = datagen.sample_noise(count, 2, config.data.seed + 1)
+    eps = datagen.sample_noise(count, x0s.shape[1], config.data.seed + 1)
     return list(zip(x0s, eps))
 
 
@@ -163,7 +163,7 @@ def cmd_sample(args):
         steps=config.solver.steps if args.steps is None else args.steps)
     seed = config.metrics.seed if args.seed is None else args.seed
     # sample_batch validates the count and the solver before any output
-    samples = sample_batch(model, args.count, 2, seed, solver)
+    samples = sample_batch(model, args.count, model.dim, seed, solver)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     datagen.export_csv(os.path.join(outdir, "samples.csv"), samples)
@@ -276,11 +276,10 @@ def gradcheck(seed=0):
     x0 = rng.standard_normal((batch, dim))
     eps = rng.standard_normal((batch, dim))
     t = np.clip(rng.random(batch), 0.05, 0.95)
-    grid = GridSpec(16)
 
     def loss_fn(p):
         fm, reg = losses.total_loss_graph((x0, eps, t), model, schedule,
-                                          grid, 0.1, p)
+                                          0.1, p)
         return fm + reg
 
     _, g_ad = evaluate_with_gradients(loss_fn, params)

@@ -18,12 +18,14 @@ timestep weighting ((1 - t)^2 + t^2 on the trig schedule) that leaves the
 optimal velocity field unchanged. This weight is a deviation from the
 paper's unweighted loss. The regularizer is
 
-    lambda * dt * sum_i (da_i ddb_i - db_i dda_i)^2
+    lambda * sum_i w_i (da_i ddb_i - db_i dda_i)^2
 
-a left-point Riemann sum of the squared determinant over the interior
-grid nodes. Both terms read the schedule through its one ``derivatives``
-method: the data term by ``pointwise_derivatives`` at the batch's t, the
-regularizer by ``grid_derivatives`` at the grid.
+the 64-node Gauss-Legendre rule (nodes t_i, weights w_i on [0, 1]) for
+lambda times the integral of the squared determinant over [0, 1]; the
+paper takes a Riemann sum. Both terms read the schedule's exact
+derivatives through its one ``derivatives`` method: the data term by
+``pointwise_derivatives`` at the batch's t, the regularizer by
+``grid_derivatives`` at the quadrature nodes.
 """
 
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ import numpy as np
 from . import engine
 from .engine import merge_params, square
 from .errors import ConfigError
-from .schedules import grid_derivatives, pointwise_derivatives
+from .schedules import grid_derivatives, pointwise_derivatives, quadrature
 
 
 @dataclass
@@ -67,8 +69,7 @@ def curve_fm_loss(batch, model, schedule, params=None):
     schedule by a smooth s(t). The weight is computed by true division, so
     it is exactly 1.0 on the linear schedule and on a zeroed neural one.
     a, b and the target's first derivatives come from one call to
-    ``pointwise_derivatives``, whose step does not depend on the
-    regularizer's grid.
+    ``pointwise_derivatives``.
 
     When ``params`` holds engine Tensors the result is a Tensor and
     gradients flow to the model and, through z_t, the target and the
@@ -89,25 +90,31 @@ def curve_fm_loss(batch, model, schedule, params=None):
 
 
 def determinant_profile(deriv_grid):
-    """d_i = da_i ddb_i - db_i dda_i at the interior nodes."""
+    """d_i = da_i ddb_i - db_i dda_i at the nodes of ``deriv_grid``."""
     return (deriv_grid.da * deriv_grid.ddb
             - deriv_grid.db * deriv_grid.dda)
 
 
+def determinant_integral(schedule, params=None):
+    """sum_i w_i d_i^2 at the Gauss-Legendre nodes: the squared determinant
+    integrated over [0, 1]."""
+    d = determinant_profile(grid_derivatives(schedule, params))
+    return (square(d) * quadrature()[1]).sum()
+
+
 def robust_curvature_loss(schedule, grid, lam, params=None):
-    """lambda * dt * sum of squared determinants over the interior grid."""
+    """lambda times the determinant integral; ``grid`` is not read, as the
+    quadrature nodes do not depend on the diagnostics' uniform grid."""
     if lam < 0:
         raise ConfigError("lambda must be >= 0, got %g" % lam)
     if lam == 0:
         return 0.0
-    dg = grid_derivatives(schedule, grid, params=params)
-    d = determinant_profile(dg)
-    loss = (lam * grid.dt) * square(d).sum()
+    loss = lam * determinant_integral(schedule, params)
     return loss if isinstance(loss, engine.Tensor) else float(loss)
 
 
-def total_loss_graph(batch, model, schedule, grid, lam, params):
+def total_loss_graph(batch, model, schedule, lam, params):
     """(fm, regularizer) terms, Tensors when ``params`` holds Tensors."""
     fm = curve_fm_loss(batch, model, schedule, params=params)
-    reg = robust_curvature_loss(schedule, grid, lam, params=params)
+    reg = robust_curvature_loss(schedule, None, lam, params=params)
     return fm, reg

@@ -18,8 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DegenerateTrajectoryError, ShapeError
-from .losses import determinant_profile
-from .schedules import grid_derivatives
+from .losses import determinant_integral, determinant_profile
 
 MAX_PAIRWISE = 5000  # above this, pairwise sums use a seeded subsample
 SPEED_EPS = 1e-18  # below this, the curvature denominator is treated as zero
@@ -113,14 +112,16 @@ def curvature(da, db, dda, ddb, x0, eps):
 
 
 def schedule_diagnostics(schedule, grid, sample_pairs):
-    """Determinant integral and mean curvature profile over the grid.
+    """Determinant integral, and mean curvature profile over the grid.
 
+    The integral is the regularizer's quadrature, so it is the quantity
+    training penalizes; the profiles are read at the grid's interior.
     ``sample_pairs`` is a sequence of (x0, eps) pairs; pairs whose speed
     vanishes anywhere on the grid are skipped (error if all do).
     """
-    dg = grid_derivatives(schedule, grid)
-    det = np.asarray(determinant_profile(dg), dtype=float)
-    integral = float(grid.dt * np.sum(det * det))
+    integral = float(determinant_integral(schedule))
+    dg = schedule.derivatives(grid.interior)
+    det = determinant_profile(dg)
 
     profiles = []
     for x0, eps in sample_pairs:

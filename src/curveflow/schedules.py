@@ -8,18 +8,30 @@ construction: the neural variant writes
 
 so they hold to machine equality for any residual-network parameters, and
 zeroing the residual networks recovers the linear (rectified-flow)
-schedule exactly.
+schedule exactly. Every kind's derivatives are exact: closed forms for
+the analytic kinds, Taylor-mode jets (value, d/dt, d^2/dt^2) pushed
+through the residual networks for the neural kind (Griewank & Walther,
+Evaluating Derivatives, 2nd ed., ch. 13).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ParameterSet, take, tanh, value_of
+from .engine import ParameterSet, concat, square, take, tanh
 from .errors import ConfigError, DomainError
 
 _HALF_PI = 0.5 * np.pi
-TARGET_STEP = 1e-3  # difference step of the neural flow-matching target
+
+
+@functools.cache
+def quadrature():
+    """(nodes, weights) of the regularizer's 64-node Gauss-Legendre rule on
+    [0, 1] (Golub & Welsch, Math. Comp. 1969), exact to degree 127. Built
+    on first use: its eigensolver adds ~1 MiB to a process's peak memory."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def sinusoidal_features(t, width):
@@ -32,9 +44,18 @@ def sinusoidal_features(t, width):
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
+def _feature_jets(t, width):
+    """sinusoidal_features of t stacked over its d/dt and d^2/dt^2 rows."""
+    v = sinusoidal_features(t, width)
+    half = width // 2
+    w = np.tile((2.0 ** np.arange(half)) * np.pi, 2)
+    d1 = np.concatenate([v[:, half:], -v[:, :half]], axis=1) * w
+    return np.concatenate([v, d1, -(w * w) * v])
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform Riemann grid t_i = i/m, i = 0..m."""
+    """Uniform grid t_i = i/m; diagnostics profile its interior, 0 < i < m."""
 
     m: int = 1000
 
@@ -43,16 +64,8 @@ class GridSpec:
             raise ConfigError("grid size m must be >= 4, got %d" % self.m)
 
     @property
-    def dt(self):
-        return 1.0 / self.m
-
-    @property
-    def nodes(self):
-        return np.arange(self.m + 1) / self.m
-
-    @property
     def interior(self):
-        return self.nodes[1:-1]
+        return np.arange(1, self.m) / self.m
 
 
 @dataclass
@@ -92,14 +105,13 @@ class CoefficientSchedule:
     def b(self, t, params=None):
         return pointwise_derivatives(self, t, params).b
 
-    def derivatives(self, nodes, h, params=None):
-        """DerivativeGrid at ``nodes[1:-1]`` along axis 0, whose neighbours
-        along axis 0 lie ``h`` before and after them."""
+    def derivatives(self, t, params=None):
+        """Exact DerivativeGrid at the 1-D array of times t in [0, 1]."""
         raise NotImplementedError
 
 
 class _AnalyticSchedule(CoefficientSchedule):
-    """Closed-form schedule; its derivatives are exact and ignore ``h``.
+    """Closed-form schedule.
 
     Each kind gives one table, ``fields(t)``: (a, b, da, db, dda, ddb) at
     a float array t already checked to lie in [0, 1].
@@ -109,8 +121,8 @@ class _AnalyticSchedule(CoefficientSchedule):
     def fields(t):
         raise NotImplementedError
 
-    def derivatives(self, nodes, h, params=None):
-        return DerivativeGrid(*self.fields(_check_domain(nodes[1:-1])))
+    def derivatives(self, t, params=None):
+        return DerivativeGrid(*self.fields(_check_domain(t)))
 
 
 class LinearSchedule(_AnalyticSchedule):
@@ -176,44 +188,37 @@ class NeuralSchedule(CoefficientSchedule):
                 entries["%s/b%d" % (prefix, layer)] = np.zeros(fan_out)
         self.params = ParameterSet(entries)
 
-    def _residual_net(self, prefix, t, p):
-        feats = sinusoidal_features(value_of(t), self.embed)
-        h = tanh(feats @ p["%s/w0" % prefix] + p["%s/b0" % prefix])
-        h = tanh(h @ p["%s/w1" % prefix] + p["%s/b1" % prefix])
-        out = h @ p["%s/w2" % prefix] + p["%s/b2" % prefix]
-        return out.reshape(t.shape)
-
     def residual_term(self, prefix, t, params=None):
-        """t (1 - t) f(t) — the part of a/b beyond the linear base."""
+        """Jets (r, dr/dt, d^2r/dt^2) of r = t (1 - t) f(t), the part of a/b
+        beyond the linear base, at the 1-D times t.
+
+        Each layer runs one matmul over the three jets stacked as 3n rows
+        and adds its bias to the value rows only; tanh maps the jets by
+        h' = (1 - h^2) u' and h'' = (1 - h^2) (u'' - 2 h u'^2).
+        """
         p = self.params if params is None else params
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return (t * (1.0 - t)) * self._residual_net(prefix, t, p)
+        n = t.size
+        x = _feature_jets(t, self.embed)
+        for layer in (0, 1):
+            u = x @ p["%s/w%d" % (prefix, layer)]
+            h = tanh(take(u, slice(None, n)) + p["%s/b%d" % (prefix, layer)])
+            du, ddu = take(u, slice(n, 2 * n)), take(u, slice(2 * n, None))
+            s = 1.0 - square(h)
+            x = concat(concat(h, s * du, axis=0),
+                       s * (ddu - (2.0 * h) * square(du)), axis=0)
+        out = (x @ p["%s/w2" % prefix]).reshape(3, n)
+        f, df, ddf = take(out, 0) + p["%s/b2" % prefix], take(out, 1), take(out, 2)
+        q, dq = t * (1.0 - t), 1.0 - 2.0 * t
+        return q * f, dq * f + q * df, -2.0 * f + (2.0 * dq) * df + q * ddf
 
-    def derivatives(self, nodes, h, params=None):
-        # The linear base is differentiated exactly; the residual term takes
-        # one central difference: each residual net runs once over all nodes
-        # and the -h/0/+h values are its slices. t (1 - t) f(t) is smooth
-        # past 0 and 1, so the outer nodes may lie outside [0, 1]. With
-        # zeroed residual nets this is the linear schedule exactly.
-        t = _check_domain(nodes[1:-1])
-        ra = _stencil(self.residual_term("a", nodes, params))
-        rb = _stencil(self.residual_term("b", nodes, params))
-        inv2 = 1.0 / (2.0 * h)
-        invsq = 1.0 / (h * h)
-        return DerivativeGrid(
-            (1.0 - t) + ra[1],
-            (t + 0.0) + rb[1],
-            -1.0 + (ra[2] - ra[0]) * inv2,
-            1.0 + (rb[2] - rb[0]) * inv2,
-            (ra[2] - 2.0 * ra[1] + ra[0]) * invsq,
-            (rb[2] - 2.0 * rb[1] + rb[0]) * invsq,
-        )
-
-
-def _stencil(r):
-    """Values of ``r`` at nodes i - 1, i, i + 1 for every middle node i."""
-    return (take(r, slice(None, -2)), take(r, slice(1, -1)),
-            take(r, slice(2, None)))
+    def derivatives(self, t, params=None):
+        # with zeroed residual nets this is the linear schedule exactly
+        t = _check_domain(t)
+        ra, dra, ddra = self.residual_term("a", t, params)
+        rb, drb, ddrb = self.residual_term("b", t, params)
+        return DerivativeGrid((1.0 - t) + ra, (t + 0.0) + rb,
+                              -1.0 + dra, 1.0 + drb, ddra, ddrb)
 
 
 _KINDS = {
@@ -233,24 +238,12 @@ def make_schedule(kind, **kwargs):
 
 
 def pointwise_derivatives(schedule, t, params=None):
-    """DerivativeGrid at the flow-matching target's times t, shaped like t.
-
-    Analytic kinds give closed forms. The neural schedule steps by
-    TARGET_STEP, whatever the regularizer's grid: its nodes are the rows
-    t - h, t, t + h.
-    """
+    """DerivativeGrid at the flow-matching target's times t, shaped like t."""
     t = np.asarray(t, dtype=float)
-    h = TARGET_STEP
-    dg = schedule.derivatives(np.stack([t - h, t, t + h]), h, params)
+    dg = schedule.derivatives(t.reshape(-1), params)
     return DerivativeGrid(*(f.reshape(t.shape) for f in vars(dg).values()))
 
 
-def grid_derivatives(schedule, grid, params=None):
-    """DerivativeGrid at the interior grid nodes.
-
-    Analytic kinds give closed forms. The neural schedule differences its
-    residual over the grid nodes, with the grid spacing as step: a fixed
-    1e-3 leaves enough roundoff in its second differences to fail the
-    finite-difference gradient check on a 16-node grid.
-    """
-    return schedule.derivatives(grid.nodes, grid.dt, params)
+def grid_derivatives(schedule, params=None):
+    """DerivativeGrid at the regularizer's Gauss-Legendre nodes."""
+    return schedule.derivatives(quadrature()[0], params)

@@ -14,7 +14,6 @@ import numpy as np
 from .engine import ParameterSet, Tensor, backward, merge_params, value_of
 from .errors import ConfigError, DivergenceError
 from .losses import LossReport, total_loss_graph
-from .schedules import GridSpec
 
 T_CLAMP = 1e-5  # keep sampled timesteps strictly inside (0, 1)
 BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01  # AdamW
@@ -28,7 +27,7 @@ class TrainConfig:
     warmup_steps: int = 100
     poly_power: float = 1.0
     lam: float = 0.001
-    grid_m: int = 1000
+    grid_m: int = 1000  # resolution of the diagnostics' uniform profile
     timestep_sampler: str = "uniform"
     seed: int = 0
     train_schedule: bool = True
@@ -134,7 +133,6 @@ def train(config, dataset, schedule, model):
 
     params = merge_params(model.params, schedule.params)
     state = OptimizerState.init(params)
-    grid = GridSpec(config.grid_m)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
 
     trainable = [name for name in params
@@ -155,7 +153,7 @@ def train(config, dataset, schedule, model):
             leaves = {name: Tensor(arr) for name, arr in params.items()}
             lr = lr_at(step, total_steps, config)
             try:
-                fm, reg = total_loss_graph((x0, eps, t), model, schedule, grid,
+                fm, reg = total_loss_graph((x0, eps, t), model, schedule,
                                            config.lam, leaves)
                 loss = fm + reg
                 if not np.isfinite(value_of(loss)):

@@ -53,7 +53,7 @@ def test_criterion_1_linear_schedule_zero_curvature():
 def test_criterion_2_trig_regularizer_oracle():
     start = time.time()
     grid = GridSpec(1000)
-    dg = grid_derivatives(TrigSchedule(), grid)
+    dg = grid_derivatives(TrigSchedule())
     det = dg.da * dg.ddb - dg.db * dg.dda
     det_err = np.max(np.abs(det - HALF_PI ** 3))
     reg = robust_curvature_loss(TrigSchedule(), grid, 1.0)

@@ -452,3 +452,32 @@ def test_console_entry_point_exit_status(tmp_path):
     assert proc.returncode == 2
     assert "error: train.epochs" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_train_artifacts_independent_of_blas_threads(tmp_path):
+    # OpenBLAS may split a long contraction across threads and sum the
+    # parts in another order. The regularizer's weight gradient over 1001
+    # uniform nodes, a (64x1001)@(1001x64) product, did, and this failed;
+    # over 64 quadrature nodes it passes. Where OpenBLAS splits is its own
+    # detail, so this guards the shapes that training multiplies.
+    doc = small_config(lam=1e-3, grid_m=1000)
+    doc["data"]["count"] = 400
+    doc["schedule"]["hidden"] = 64
+    doc["model"] = {"hidden": 128, "time_features": 16, "seed": 0}
+    cfg = write_config(tmp_path, doc)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(curveflow.__file__))
+    artifacts = []
+    for threads in ("1", "2"):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = tmp_path / ("threads" + threads)
+        proc = subprocess.run([sys.executable, "-m", "curveflow.cli", "train",
+                               "--config", cfg, "--out", str(out)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append([(out / name).read_bytes()
+                          for name in ("history.csv", "checkpoint.json")])
+    assert artifacts[0] == artifacts[1]

@@ -8,7 +8,8 @@ from curveflow.errors import ConfigError
 from curveflow.losses import (curve_fm_loss, determinant_profile,
                               robust_curvature_loss, total_loss_graph)
 from curveflow.schedules import (GridSpec, LinearSchedule, NeuralSchedule,
-                                 TrigSchedule, grid_derivatives)
+                                 PolynomialSchedule, TrigSchedule,
+                                 grid_derivatives)
 from curveflow.velocity import VelocityField
 from test_schedule import CustomSchedule, quadratic_stub, random_neural
 
@@ -106,18 +107,18 @@ def test_fm_loss_empty_batch():
 
 
 def test_determinant_profile_linear_zero():
-    dg = grid_derivatives(LinearSchedule(), GridSpec(100))
+    dg = grid_derivatives(LinearSchedule())
     assert np.allclose(determinant_profile(dg), 0.0, atol=1e-9)
 
 
 def test_determinant_profile_trig_constant():
-    dg = grid_derivatives(TrigSchedule(), GridSpec(1000))
+    dg = grid_derivatives(TrigSchedule())
     det = determinant_profile(dg)
     assert np.max(np.abs(det - HALF_PI ** 3)) < 1e-3
 
 
 def test_determinant_profile_polynomial_stub():
-    dg = grid_derivatives(quadratic_stub(), GridSpec(50))
+    dg = grid_derivatives(quadratic_stub())
     assert np.allclose(determinant_profile(dg), -2.0, atol=1e-8)
 
 
@@ -142,30 +143,32 @@ def test_robust_curvature_loss_linear_in_lambda():
 
 
 def test_regularizer_converges_to_integral():
+    # the Gauss-Legendre rule integrates a constant determinant exactly,
+    # and its nodes do not depend on the uniform grid
     exact = HALF_PI ** 6
-    errs = [abs(robust_curvature_loss(TrigSchedule(), GridSpec(m), 1.0) - exact)
-            for m in (250, 1000)]
-    assert errs[1] < errs[0]
+    for m in (250, 1000):
+        reg = robust_curvature_loss(TrigSchedule(), GridSpec(m), 1.0)
+        assert abs(reg - exact) <= 1e-12 * exact
+    assert abs(robust_curvature_loss(PolynomialSchedule(), None, 1.0)
+               - 16.0) <= 1e-12 * 16.0
 
 
 def test_total_loss_report():
     lin = LinearSchedule()
     batch = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([0.4]))
-    g = GridSpec(100)
     perfect = OracleModel(lambda z, tt: np.array([[-1.0, 1.0]]))
-    fm, reg = total_loss_graph(batch, perfect, lin, g, 1.0, None)
+    fm, reg = total_loss_graph(batch, perfect, lin, 1.0, None)
     assert fm + reg == 0.0
 
-    fm, reg = total_loss_graph(batch, perfect, TrigSchedule(), g, 1.0, None)
+    fm, reg = total_loss_graph(batch, perfect, TrigSchedule(), 1.0, None)
     assert fm > 0.0  # trig target differs from the linear one
     assert reg > 0.0
-    fm0, reg0 = total_loss_graph(batch, zero_model(), lin, g, 0.0, None)
+    fm0, reg0 = total_loss_graph(batch, zero_model(), lin, 0.0, None)
     assert reg0 == 0.0
     assert fm0 == 2.0
 
 
 def test_total_loss_regularizer_only_case():
-    g = GridSpec(1000)
     x0 = np.array([[1.0, 0.0]])
     eps = np.array([[0.0, 1.0]])
     t = np.array([0.5])
@@ -173,7 +176,7 @@ def test_total_loss_regularizer_only_case():
     da = -HALF_PI * np.sin(HALF_PI * 0.5)
     db = HALF_PI * np.cos(HALF_PI * 0.5)
     perfect = OracleModel(lambda z, tt: da * x0 + db * eps)
-    fm, reg = total_loss_graph((x0, eps, t), perfect, trig, g, 1.0, None)
+    fm, reg = total_loss_graph((x0, eps, t), perfect, trig, 1.0, None)
     assert fm < 1e-20
     assert abs(fm + reg - HALF_PI ** 6) / HALF_PI ** 6 < 0.01
 
@@ -186,10 +189,9 @@ def test_gradients_match_finite_differences():
     x0 = rng.standard_normal((3, 2))
     eps = rng.standard_normal((3, 2))
     t = np.clip(rng.random(3), 0.05, 0.95)
-    grid = GridSpec(8)
 
     def loss_fn(p):
-        fm, reg = total_loss_graph((x0, eps, t), model, schedule, grid, 0.05, p)
+        fm, reg = total_loss_graph((x0, eps, t), model, schedule, 0.05, p)
         return fm + reg
 
     _, g_ad = evaluate_with_gradients(loss_fn, params)

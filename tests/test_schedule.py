@@ -7,7 +7,7 @@ from curveflow.schedules import (CoefficientSchedule, DerivativeGrid,
                                  GridSpec, LinearSchedule, NeuralSchedule,
                                  PolynomialSchedule, TrigSchedule,
                                  grid_derivatives, make_schedule,
-                                 pointwise_derivatives)
+                                 pointwise_derivatives, quadrature)
 
 HALF_PI = np.pi / 2
 
@@ -21,8 +21,8 @@ class CustomSchedule(CoefficientSchedule):
         super().__init__()
         self._fns = (a_fn, b_fn, da_fn, db_fn, dda_fn, ddb_fn)
 
-    def derivatives(self, nodes, h, params=None):
-        t = np.asarray(nodes, dtype=float)[1:-1]
+    def derivatives(self, t, params=None):
+        t = np.asarray(t, dtype=float)
         return DerivativeGrid(*(fn(t) for fn in self._fns))
 
 
@@ -32,11 +32,6 @@ def quadratic_stub():
                           lambda t: -np.ones_like(t), lambda t: 2.0 * t,
                           lambda t: np.zeros_like(t),
                           lambda t: 2.0 * np.ones_like(t))
-
-
-def stencil(t, h):
-    """Nodes t - h, t, t + h along axis 0, so derivatives(...) is at t."""
-    return np.stack([t - h, t, t + h])
 
 
 def random_neural(seed, scale=0.5):
@@ -69,12 +64,11 @@ def test_zero_residual_equals_linear_exactly():
     dg_l = pointwise_derivatives(lin, t)
     assert np.array_equal(dg_n.da, dg_l.da)
     assert np.array_equal(dg_n.db, dg_l.db)
-    g = GridSpec(100)
-    dg_n = grid_derivatives(sch, g)
-    dg_l = grid_derivatives(lin, g)
+    dg_n = grid_derivatives(sch)
+    dg_l = grid_derivatives(lin)
     for field in ("a", "b", "da", "db", "dda", "ddb"):
         assert np.array_equal(getattr(dg_n, field), getattr(dg_l, field))
-    # the residual's second difference vanishes, not just rounds small
+    # the residual's second derivative vanishes, not just rounds small
     assert np.all(dg_n.dda == 0.0)
     assert np.all(dg_n.ddb == 0.0)
 
@@ -113,13 +107,14 @@ def test_grid_spec_validation():
     with pytest.raises(ConfigError):
         GridSpec(3)
     g = GridSpec(10)
-    assert g.nodes[0] == 0.0
-    assert g.nodes[-1] == 1.0
-    assert np.all(np.diff(g.nodes) > 0)
+    assert len(g.interior) == 9
+    assert g.interior[0] == 1 / 10
+    assert g.interior[-1] == 9 / 10
+    assert np.all(np.diff(g.interior) > 0)
 
 
 def test_grid_derivatives_linear():
-    dg = grid_derivatives(LinearSchedule(), GridSpec(50))
+    dg = grid_derivatives(LinearSchedule())
     assert np.allclose(dg.da, -1.0, atol=1e-12)
     assert np.allclose(dg.db, 1.0, atol=1e-12)
     assert np.allclose(dg.dda, 0.0, atol=1e-9)
@@ -127,37 +122,37 @@ def test_grid_derivatives_linear():
 
 
 def test_grid_second_difference_exact_on_quadratic():
-    dg = grid_derivatives(quadratic_stub(), GridSpec(20))
+    dg = grid_derivatives(quadratic_stub())
     assert np.allclose(dg.ddb, 2.0, atol=1e-8)
 
 
 def test_grid_derivatives_trig_second_derivative_accuracy():
-    g = GridSpec(1000)
-    dg = grid_derivatives(TrigSchedule(), g)
-    exact = -HALF_PI ** 2 * np.cos(HALF_PI * g.interior)
+    dg = grid_derivatives(TrigSchedule())
+    exact = -HALF_PI ** 2 * np.cos(HALF_PI * quadrature()[0])
     assert np.max(np.abs(dg.dda - exact)) < 1e-4
 
 
 def test_grid_derivative_error_decays_quadratically():
-    # the neural schedule's central differences, ends included: halving
-    # the step should cut the error about fourfold
+    # central differences of the neural residual converge to its exact
+    # jets, ends included: halving the step cuts the error about fourfold
     sch = random_neural(7)
     t = np.array([0.0, 0.3, 0.6, 1.0])
-    ref = sch.derivatives(stencil(t, 1e-4), 1e-4)
-    fields = ("da", "db", "dda", "ddb")
 
     def max_err(h):
-        dg = sch.derivatives(stencil(t, h), h)
-        return max(np.max(np.abs(getattr(dg, f) - getattr(ref, f)))
-                   for f in fields)
+        err = 0.0
+        for prefix in ("a", "b"):
+            r, dr, ddr = sch.residual_term(prefix, t)
+            hi, lo = (sch.residual_term(prefix, s)[0] for s in (t + h, t - h))
+            err = max(err, np.max(np.abs((hi - lo) / (2.0 * h) - dr)),
+                      np.max(np.abs((hi - 2.0 * r + lo) / (h * h) - ddr)))
+        return err
 
     e1, e2 = max_err(0.01), max_err(0.005)
     assert e1 / e2 >= 3.5
 
 
 def test_exact_flag_uses_closed_forms():
-    g = GridSpec(10)
-    t = g.interior
+    t = quadrature()[0]
     one, zero = np.ones_like(t), np.zeros_like(t)
     c, s = np.cos(HALF_PI * t), np.sin(HALF_PI * t)
     closed_forms = {
@@ -168,7 +163,7 @@ def test_exact_flag_uses_closed_forms():
                              2 * one, 2 * one),
     }
     for cls, expected in closed_forms.items():
-        dg = grid_derivatives(cls(), g)
+        dg = grid_derivatives(cls())
         for field, want in zip(("a", "b", "da", "db", "dda", "ddb"), expected):
             np.testing.assert_allclose(getattr(dg, field), want, rtol=0,
                                        atol=1e-15, err_msg=field)
@@ -185,7 +180,7 @@ def test_make_schedule_kinds():
 
 def test_polynomial_schedule_constant_determinant():
     p = PolynomialSchedule()
-    dg = grid_derivatives(p, GridSpec(100))
+    dg = grid_derivatives(p)
     det = dg.da * dg.ddb - dg.db * dg.dda
     assert np.allclose(det, -4.0, atol=1e-12)
 
@@ -193,26 +188,26 @@ def test_polynomial_schedule_constant_determinant():
 def test_neural_derivatives_consistent_with_dense_fd():
     sch = random_neural(7)
     t = np.array([0.3, 0.6])
-    dg = sch.derivatives(stencil(t, 1e-5), 1e-5)
-    da, db = dg.da[0], dg.db[0]
+    dg = sch.derivatives(t)
     eps = 1e-6
-    da_ref = (sch.a(t + eps) - sch.a(t - eps)) / (2 * eps)
-    db_ref = (sch.b(t + eps) - sch.b(t - eps)) / (2 * eps)
-    assert np.allclose(da, da_ref, atol=1e-4)
-    assert np.allclose(db, db_ref, atol=1e-4)
+    lo, hi = sch.derivatives(t - eps), sch.derivatives(t + eps)
+    for field, slope in (("a", "da"), ("b", "db"), ("da", "dda"),
+                         ("db", "ddb")):
+        ref = (getattr(hi, field) - getattr(lo, field)) / (2 * eps)
+        assert np.allclose(getattr(dg, slope), ref, rtol=0, atol=1e-6), slope
 
 
 def test_neural_target_second_order_at_the_ends():
-    # the target's stencil is never clamped, so it stays a central
-    # difference (error O(h^2)) at t near 0 and 1
+    # the target's derivatives are exact jets, so they need no stencil
+    # and hold at t near and at 0 and 1 as in the middle
     sch = random_neural(7)
     eps = 1e-6
-    for t in (1e-5, 1.0 - 1e-5):
+    for t in (0.0, 1e-5, 1.0 - 1e-5, 1.0):
         dg = pointwise_derivatives(sch, t)
         for prefix, got in (("a", dg.da + 1.0), ("b", dg.db - 1.0)):
-            ref = (sch.residual_term(prefix, t + eps)
-                   - sch.residual_term(prefix, t - eps)) / (2 * eps)
-            assert np.max(np.abs(got - ref)) < 2e-3, (t, prefix)
+            ref = (sch.residual_term(prefix, t + eps)[0]
+                   - sch.residual_term(prefix, t - eps)[0]) / (2 * eps)
+            assert np.max(np.abs(got - ref)) < 1e-6, (t, prefix)
 
 
 def test_residual_evaluated_once_per_node(monkeypatch):
@@ -225,41 +220,42 @@ def test_residual_evaluated_once_per_node(monkeypatch):
         return original(self, prefix, t, params)
 
     monkeypatch.setattr(NeuralSchedule, "residual_term", counting)
-    grid_derivatives(sch, GridSpec(16))
-    assert calls == [17, 17]
+    grid_derivatives(sch)
+    assert calls == [64, 64]
     del calls[:]
     pointwise_derivatives(sch, np.linspace(0.1, 0.9, 5))
-    assert calls == [15, 15]
+    assert calls == [5, 5]
 
 
-def three_call_stencil(sch, t, h):
-    """The central differences with one residual call per stencil point."""
-    fields = []
-    for prefix, base, slope in (("a", 1.0 - t, -1.0), ("b", t + 0.0, 1.0)):
-        lo, mid, hi = (sch.residual_term(prefix, s) for s in (t - h, t, t + h))
-        fields.append((base + mid, slope + (hi - lo) * (1.0 / (2.0 * h)),
-                       (hi - 2.0 * mid + lo) * (1.0 / (h * h))))
-    (a, da, dda), (b, db, ddb) = fields
-    return DerivativeGrid(a, b, da, db, dda, ddb)
+def bias_only_neural(seed):
+    """Neural schedule whose only nonzero weights are the output biases."""
+    sch = NeuralSchedule(hidden=16, embed=8, seed=seed)
+    rng = np.random.default_rng(seed)
+    sch.params = ParameterSet({
+        n: rng.normal(size=a.shape) if n.endswith("/b2") else np.zeros_like(a)
+        for n, a in sch.params.items()})
+    return sch
 
 
 @pytest.mark.parametrize("m,rtol,rtol_second", [(16, 1e-14, 1e-14),
                                                  (1000, 1e-12, 1e-11)],
                          ids=["m16", "m1000"])
 def test_grid_derivatives_match_three_call_stencil(m, rtol, rtol_second):
-    # On the uniform grid t_i +- dt are the nodes t_(i+-1): bit for bit at
-    # m=16 (dyadic nodes), to 1.1e-16 at m=1000, which a second difference
-    # amplifies by 1/dt^2. Even on equal inputs the residual net is not
-    # bitwise row-count independent (BLAS rounds a matrix-vector product's
-    # tail rows differently), so m=16 is held to roundoff, not equality.
-    g = GridSpec(m)
-    if m == 16:
-        assert np.array_equal(g.interior - g.dt, g.nodes[:-2])
-        assert np.array_equal(g.interior + g.dt, g.nodes[2:])
+    # With output biases c alone the residual is c t (1 - t), a quadratic,
+    # on which a three-point stencil is exact up to roundoff. The jets need
+    # no stencil: at the diagnostics' uniform nodes they are held to the
+    # closed form r = c t (1 - t), r' = c (1 - 2 t), r'' = -2 c.
+    t = GridSpec(m).interior
     for seed in range(3):
-        sch = random_neural(seed)
-        got = grid_derivatives(sch, g)
-        want = three_call_stencil(sch, g.interior, g.dt)
+        sch = bias_only_neural(seed)
+        ca, cb = sch.params["a/b2"][0], sch.params["b/b2"][0]
+        got = sch.derivatives(t)
+        want = DerivativeGrid(1.0 - t + ca * t * (1.0 - t),
+                              t + cb * t * (1.0 - t),
+                              -1.0 + ca * (1.0 - 2.0 * t),
+                              1.0 + cb * (1.0 - 2.0 * t),
+                              np.full_like(t, -2.0 * ca),
+                              np.full_like(t, -2.0 * cb))
         for field in ("a", "b", "da", "db", "dda", "ddb"):
             x, y = getattr(got, field), getattr(want, field)
             tol = rtol_second if field in ("dda", "ddb") else rtol

@@ -13,6 +13,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 import numpy as np  # noqa: E402
 
+from curveflow import losses  # noqa: E402
 from curveflow.engine import Tensor, merge_params  # noqa: E402
 from curveflow.losses import curve_fm_loss  # noqa: E402
 from curveflow.schedules import NeuralSchedule  # noqa: E402
@@ -46,3 +47,20 @@ def test_fm_target_derivatives_are_traced():
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
     assert "schedules.pointwise_derivatives" in names
+
+
+def test_regularizer_derivatives_are_traced():
+    # the regularizer takes its derivatives through grid_derivatives, which
+    # reaches the residual nets through residual_term; otherwise the
+    # benchmark's schedules.grid_derivatives_ms and residual_points read 0
+    schedule = NeuralSchedule(hidden=8, embed=8, seed=0)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        losses.robust_curvature_loss(schedule, None, 0.1)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert "schedules.grid_derivatives" in names
+    assert "schedules.residual_term" in names
+    assert tracer.counts["residual_points"] > 0

@@ -195,8 +195,8 @@ def _diverge_at_step_2(monkeypatch, schedule, lam, poison):
     real = training.total_loss_graph
     calls = []
 
-    def poisoned(batch, model, schedule, grid, lam, params):
-        fm, reg = real(batch, model, schedule, grid, lam, params)
+    def poisoned(batch, model, schedule, lam, params):
+        fm, reg = real(batch, model, schedule, lam, params)
         calls.append(fm)
         if len(calls) == 3:
             fm, reg = poison(fm, reg, params)
