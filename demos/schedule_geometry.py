@@ -13,15 +13,14 @@ import os
 
 import numpy as np
 
-from curveflow import (GridSpec, curvature, make_schedule,
-                       pointwise_derivatives, schedule_diagnostics, svgplot)
+from curveflow import (curvature, make_schedule, pointwise_derivatives,
+                       schedule_diagnostics, svgplot)
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 
 
 def main():
     os.makedirs(OUT, exist_ok=True)
-    grid = GridSpec(1000)
     x0 = np.array([1.0, 0.0])
     eps = np.array([0.0, 1.0])
 
@@ -30,7 +29,7 @@ def main():
         schedule = make_schedule(kind)
         dg = pointwise_derivatives(schedule, np.array([0.25, 0.5, 0.75]))
         kappas = curvature(dg.da, dg.db, dg.dda, dg.ddb, x0, eps)
-        report = schedule_diagnostics(schedule, grid, [(x0, eps)])
+        report = schedule_diagnostics(schedule, 1000, [(x0, eps)])
         print("  %-14s kappa(0.25, 0.5, 0.75) = %s   det integral = %.4f"
               % (kind, np.round(kappas, 4), report.determinant_integral))
 

@@ -14,9 +14,9 @@ from .losses import (LossReport, curve_fm_loss, determinant_profile,
 from .metrics import (EvalReport, cross_magnitude, curvature, energy_distance,
                       schedule_diagnostics, sliced_wasserstein)
 from .sampling import SolverConfig, integrate, sample_batch
-from .schedules import (CoefficientSchedule, DerivativeGrid, GridSpec,
-                        LinearSchedule, NeuralSchedule, PolynomialSchedule,
-                        TrigSchedule, grid_derivatives, make_schedule,
+from .schedules import (CoefficientSchedule, DerivativeGrid, LinearSchedule,
+                        NeuralSchedule, PolynomialSchedule, TrigSchedule,
+                        grid_derivatives, make_schedule,
                         pointwise_derivatives)
 from .training import (OptimizerState, TrainConfig, adamw_step, lr_at,
                        sample_timestep, train)

@@ -23,7 +23,7 @@ from .engine import (ParameterSet, evaluate_with_gradients,
 from .errors import (CheckpointError, ConfigError, DegenerateTrajectoryError,
                      DivergenceError)
 from .sampling import SolverConfig, sample_batch
-from .schedules import GridSpec, NeuralSchedule, make_schedule
+from .schedules import NeuralSchedule, make_schedule
 from .training import train
 from .velocity import VelocityField
 
@@ -88,9 +88,8 @@ def evaluate_model(config, schedule, model, held_out):
     sw = metrics.sliced_wasserstein(samples, ref,
                                     projections=config.metrics.projections,
                                     seed=config.metrics.seed)
-    grid = GridSpec(config.train.grid_m)
-    pairs = _diagnostic_pairs(config)
-    report = metrics.schedule_diagnostics(schedule, grid, pairs)
+    report = metrics.schedule_diagnostics(schedule, config.train.grid_m,
+                                          _diagnostic_pairs(config))
     report.energy_distance = ed
     report.sliced_wasserstein = sw
     return report, samples
@@ -189,8 +188,7 @@ def cmd_analyze(args):
     else:
         config = ExperimentConfig()
         schedule = make_schedule(args.schedule)
-    report = metrics.schedule_diagnostics(schedule,
-                                          GridSpec(config.train.grid_m),
+    report = metrics.schedule_diagnostics(schedule, config.train.grid_m,
                                           _diagnostic_pairs(config))
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)

@@ -183,7 +183,7 @@ def load_checkpoint(path):
         config = config_from_dict(doc["config"])
         params = ParameterSet({n: np.asarray(a, dtype=float)
                                for n, a in doc["params"].items()})
-        step = int(doc["step"])
+        step = _typed(doc["step"], int, "step")
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError("malformed checkpoint field: %s" % exc) from exc
     return Checkpoint(config=config, params=params, step=step)

@@ -6,12 +6,15 @@ reshape/take/concat plumbing). All arithmetic is float64. Operations do not
 check their results: a NaN/inf propagates like numpy's, and the training
 loop checks the loss and the gradients once per step.
 
-The generic helpers (``tanh``, ``silu``, ``square``, ``take``) dispatch
-on type, so the same forward code runs on plain ndarrays (used by the
-finite-difference oracle) and on tape nodes (used for gradients). Tensors
-opt out of numpy's ufunc protocol (NEP 13), so ``ndarray (op) Tensor``
-goes to the Tensor's reflected operator and ``np.sin(Tensor)`` raises
-``TypeError`` instead of escaping the tape.
+Each primitive is one function that takes Tensors and plain arrays alike.
+Only the Tensor operands enter the tape as parents; constants stay plain
+arrays, so no node is recorded for a value that has no gradient. With no
+Tensor operand a primitive returns a plain ndarray, so the same forward
+code runs on plain arrays (sampling, the diagnostics, the
+finite-difference oracle) and on tape nodes (training). Tensors opt out of
+numpy's ufunc protocol (NEP 13), so ``ndarray (op) Tensor`` goes to the
+Tensor's reflected operator and ``np.sin(Tensor)`` raises ``TypeError``
+instead of escaping the tape.
 """
 
 import numpy as np
@@ -48,22 +51,6 @@ class Tensor:
     @property
     def shape(self):
         return self.value.shape
-
-    # -- primitives ------------------------------------------------------
-
-    def tanh(self):
-        y = np.tanh(self.value)
-        return Tensor(y, "tanh", (self,), (lambda g: g * (1.0 - y * y),))
-
-    def silu(self):
-        x = self.value
-        s = expit(x)
-        return Tensor(x * s, "silu", (self,),
-                      (lambda g: g * (s * (1.0 + x * (1.0 - s))),))
-
-    def square(self):
-        x = self.value
-        return Tensor(x * x, "square", (self,), (lambda g: g * (2.0 * x),))
 
     def sum(self):
         x = self.value
@@ -118,91 +105,96 @@ class Tensor:
         return "Tensor(op=%s, shape=%s)" % (self.op, self.value.shape)
 
 
-def _lift(x):
-    return x if isinstance(x, Tensor) else Tensor(x, "const")
+def value_of(x):
+    """Detach: plain ndarray (or scalar) view of a Tensor or array."""
+    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=float)
+
+
+def _node(value, op, operands, vjps):
+    """A tape node for ``value`` whose parents are the Tensor operands
+    (each with its VJP), or ``value`` itself when there are none."""
+    pairs = [(x, f) for x, f in zip(operands, vjps) if isinstance(x, Tensor)]
+    if not pairs:
+        return value
+    parents, fns = zip(*pairs)
+    return Tensor(value, op, parents, fns)
 
 
 def add(a, b):
-    a, b = _lift(a), _lift(b)
-    av, bv = a.value, b.value
-    return Tensor(av + bv, "add", (a, b),
-                  (lambda g: _unbroadcast(g, av.shape),
-                   lambda g: _unbroadcast(g, bv.shape)))
+    av, bv = value_of(a), value_of(b)
+    return _node(av + bv, "add", (a, b),
+                 (lambda g: _unbroadcast(g, av.shape),
+                  lambda g: _unbroadcast(g, bv.shape)))
 
 
 def multiply(a, b):
-    a, b = _lift(a), _lift(b)
-    av, bv = a.value, b.value
-    return Tensor(av * bv, "multiply", (a, b),
-                  (lambda g: _unbroadcast(g * bv, av.shape),
-                   lambda g: _unbroadcast(g * av, bv.shape)))
+    av, bv = value_of(a), value_of(b)
+    return _node(av * bv, "multiply", (a, b),
+                 (lambda g: _unbroadcast(g * bv, av.shape),
+                  lambda g: _unbroadcast(g * av, bv.shape)))
 
 
 def divide(a, b):
     # true division, so tape values round as numpy's a / b does
     # (49 * (1 / 49) != 1, but 49 / 49 == 1)
-    a, b = _lift(a), _lift(b)
-    av, bv = a.value, b.value
+    av, bv = value_of(a), value_of(b)
     y = av / bv
-    return Tensor(y, "divide", (a, b),
-                  (lambda g: _unbroadcast(g / bv, av.shape),
-                   lambda g: _unbroadcast(-g * y / bv, bv.shape)))
+    return _node(y, "divide", (a, b),
+                 (lambda g: _unbroadcast(g / bv, av.shape),
+                  lambda g: _unbroadcast(-g * y / bv, bv.shape)))
 
 
 def matmul(a, b):
-    a, b = _lift(a), _lift(b)
-    av, bv = a.value, b.value
+    av, bv = value_of(a), value_of(b)
     if av.ndim != 2 or bv.ndim != 2:
         raise EngineError("matmul takes 2-D operands, got %d-D @ %d-D"
                           % (av.ndim, bv.ndim))
-    return Tensor(av @ bv, "matmul", (a, b),
-                  (lambda g: g @ bv.T, lambda g: av.T @ g))
+    return _node(av @ bv, "matmul", (a, b),
+                 (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def concat(a, b, axis=-1):
-    """Concatenate two values along ``axis`` (tape-aware)."""
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return np.concatenate([np.asarray(a, float), np.asarray(b, float)], axis=axis)
-    a, b = _lift(a), _lift(b)
-    av, bv = a.value, b.value
+    """Concatenate two values along ``axis``."""
+    av, bv = value_of(a), value_of(b)
     lead = (slice(None),) * (axis % av.ndim)
     na = av.shape[len(lead)]
-    return Tensor(np.concatenate([av, bv], axis=axis), "concat", (a, b),
-                  (lambda g: take(g, lead + (slice(0, na),)),
-                   lambda g: take(g, lead + (slice(na, None),))))
-
-
-# generic (ndarray | Tensor) math helpers -------------------------------
-
-def tanh(x):
-    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
-
-
-def silu(x):
-    return x.silu() if isinstance(x, Tensor) else x * expit(x)
-
-
-def square(x):
-    return x.square() if isinstance(x, Tensor) else np.square(x)
+    return _node(np.concatenate([av, bv], axis=axis), "concat", (a, b),
+                 (lambda g: g[lead + (slice(0, na),)],
+                  lambda g: g[lead + (slice(na, None),)]))
 
 
 def take(x, index):
     """``x[index]`` for a basic index; the backward scatters into zeros."""
-    if not isinstance(x, Tensor):
-        return np.asarray(x, dtype=float)[index]
-    shape = x.value.shape
+    xv = value_of(x)
 
     def vjp(g):
-        full = np.zeros(shape)
+        full = np.zeros(xv.shape)
         full[index] = g
         return full
 
-    return Tensor(x.value[index], "take", (x,), (vjp,))
+    return _node(xv[index], "take", (x,), (vjp,))
 
 
-def value_of(x):
-    """Detach: plain ndarray (or scalar) view of a Tensor or array."""
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=float)
+def tanh(x):
+    y = np.tanh(value_of(x))
+    return _node(y, "tanh", (x,), (lambda g: g * (1.0 - y * y),))
+
+
+def silu(x):
+    """x * sigmoid(x). On a plain array numpy writes the product into
+    expit's unnamed temporary; binding the sigmoid to a name, as the
+    tape's VJP must, takes 1.8 -> 3.9 ms at (2000, 128)."""
+    if not isinstance(x, Tensor):
+        return x * expit(x)
+    xv = x.value
+    s = expit(xv)
+    return Tensor(xv * s, "silu", (x,),
+                  (lambda g: g * (s * (1.0 + xv * (1.0 - s))),))
+
+
+def square(x):
+    xv = value_of(x)
+    return _node(xv * xv, "square", (x,), (lambda g: g * (2.0 * xv),))
 
 
 def backward(out):

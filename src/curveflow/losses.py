@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
 from .engine import merge_params, square
 from .errors import ConfigError
 from .schedules import grid_derivatives, pointwise_derivatives, quadrature
@@ -85,8 +84,7 @@ def curve_fm_loss(batch, model, schedule, params=None):
     v = model(z, t, params)
     diff = v - u
     w = (np.square(1.0 - t) + np.square(t)) / (square(a) + square(b))
-    loss = (square(diff) * w.reshape(-1, 1)).sum() * (1.0 / x0.shape[0])
-    return loss if isinstance(loss, engine.Tensor) else float(loss)
+    return (square(diff) * w.reshape(-1, 1)).sum() * (1.0 / x0.shape[0])
 
 
 def determinant_profile(deriv_grid):
@@ -102,19 +100,17 @@ def determinant_integral(schedule, params=None):
     return (square(d) * quadrature()[1]).sum()
 
 
-def robust_curvature_loss(schedule, grid, lam, params=None):
-    """lambda times the determinant integral; ``grid`` is not read, as the
-    quadrature nodes do not depend on the diagnostics' uniform grid."""
+def robust_curvature_loss(schedule, lam, params=None):
+    """lambda times the determinant integral at the quadrature nodes."""
     if lam < 0:
         raise ConfigError("lambda must be >= 0, got %g" % lam)
     if lam == 0:
         return 0.0
-    loss = lam * determinant_integral(schedule, params)
-    return loss if isinstance(loss, engine.Tensor) else float(loss)
+    return lam * determinant_integral(schedule, params)
 
 
 def total_loss_graph(batch, model, schedule, lam, params):
     """(fm, regularizer) terms, Tensors when ``params`` holds Tensors."""
     fm = curve_fm_loss(batch, model, schedule, params=params)
-    reg = robust_curvature_loss(schedule, None, lam, params=params)
+    reg = robust_curvature_loss(schedule, lam, params=params)
     return fm, reg

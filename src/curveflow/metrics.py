@@ -63,7 +63,7 @@ def energy_distance(a, b, seed=0):
     return max(2.0 * ab - aa - bb, 0.0)
 
 
-def sliced_wasserstein(a, b, projections=64, seed=0, directions=None):
+def sliced_wasserstein(a, b, projections=64, seed=0):
     """Mean 1D Wasserstein-1 over random unit directions (sorted matching).
 
     Requires equal-size point sets so the 1D computation is exact.
@@ -73,12 +73,10 @@ def sliced_wasserstein(a, b, projections=64, seed=0, directions=None):
     if a.shape != b.shape:
         raise ConfigError("sliced_wasserstein requires equal-size sets, got %s vs %s"
                           % (a.shape, b.shape))
-    if directions is None:
-        if projections < 1:
-            raise ConfigError("projections must be >= 1")
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        directions = rng.standard_normal((projections, a.shape[1]))
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    if projections < 1:
+        raise ConfigError("projections must be >= 1")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    directions = rng.standard_normal((projections, a.shape[1]))
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     pa = np.sort(a @ directions.T, axis=0)
     pb = np.sort(b @ directions.T, axis=0)
@@ -111,16 +109,18 @@ def curvature(da, db, dda, ddb, x0, eps):
     return np.abs(da * ddb - db * dda) * cross_magnitude(x0, eps) / sp2 ** 1.5
 
 
-def schedule_diagnostics(schedule, grid, sample_pairs):
-    """Determinant integral, and mean curvature profile over the grid.
+def schedule_diagnostics(schedule, m, sample_pairs):
+    """Determinant integral, and mean curvature profile over t = i/m.
 
     The integral is the regularizer's quadrature, so it is the quantity
-    training penalizes; the profiles are read at the grid's interior.
-    ``sample_pairs`` is a sequence of (x0, eps) pairs; pairs whose speed
-    vanishes anywhere on the grid are skipped (error if all do).
+    training penalizes; the profiles are read at the interior nodes of
+    the uniform grid, 0 < i < m. ``sample_pairs`` is a sequence of
+    (x0, eps) pairs; pairs whose speed vanishes anywhere on the grid are
+    skipped (error if all do).
     """
     integral = float(determinant_integral(schedule))
-    dg = schedule.derivatives(grid.interior)
+    t = np.arange(1, m) / m
+    dg = schedule.derivatives(t)
     det = determinant_profile(dg)
 
     profiles = []
@@ -136,4 +136,4 @@ def schedule_diagnostics(schedule, grid, sample_pairs):
     return EvalReport(determinant_integral=integral,
                       mean_curvature_profile=profile,
                       det_profile=det,
-                      profile_t=grid.interior)
+                      profile_t=t)

@@ -53,21 +53,6 @@ def _feature_jets(t, width):
     return np.concatenate([v, d1, -(w * w) * v])
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid t_i = i/m; diagnostics profile its interior, 0 < i < m."""
-
-    m: int = 1000
-
-    def __post_init__(self):
-        if self.m < 4:
-            raise ConfigError("grid size m must be >= 4, got %d" % self.m)
-
-    @property
-    def interior(self):
-        return np.arange(1, self.m) / self.m
-
-
 @dataclass
 class DerivativeGrid:
     """a, b and their first and second derivatives at a set of times.

@@ -17,9 +17,8 @@ from curveflow.losses import robust_curvature_loss
 from curveflow.metrics import (curvature, energy_distance,
                                schedule_diagnostics, sliced_wasserstein)
 from curveflow.sampling import SolverConfig, sample_batch
-from curveflow.schedules import (GridSpec, LinearSchedule, NeuralSchedule,
-                                 TrigSchedule, grid_derivatives,
-                                 pointwise_derivatives)
+from curveflow.schedules import (LinearSchedule, NeuralSchedule, TrigSchedule,
+                                 grid_derivatives, pointwise_derivatives)
 from curveflow.training import TrainConfig, train
 from curveflow.velocity import VelocityField
 
@@ -52,11 +51,10 @@ def test_criterion_1_linear_schedule_zero_curvature():
 
 def test_criterion_2_trig_regularizer_oracle():
     start = time.time()
-    grid = GridSpec(1000)
     dg = grid_derivatives(TrigSchedule())
     det = dg.da * dg.ddb - dg.db * dg.dda
     det_err = np.max(np.abs(det - HALF_PI ** 3))
-    reg = robust_curvature_loss(TrigSchedule(), grid, 1.0)
+    reg = robust_curvature_loss(TrigSchedule(), 1.0)
     exact = HALF_PI ** 6
     rel = abs(reg - exact) / exact
     elapsed = time.time() - start
@@ -69,7 +67,7 @@ def test_criterion_2_trig_regularizer_oracle():
 def test_criterion_3_quarter_circle_curvature():
     start = time.time()
     pair = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    rep = schedule_diagnostics(TrigSchedule(), GridSpec(1000), [pair])
+    rep = schedule_diagnostics(TrigSchedule(), 1000, [pair])
     err = np.max(np.abs(rep.mean_curvature_profile - 1.0))
     elapsed = time.time() - start
     ok = err < 1e-3 and elapsed < 1.0
@@ -159,7 +157,7 @@ def lambda_ablation():
         schedule = NeuralSchedule(hidden=64, embed=8, seed=0)
         model = VelocityField.initialize(2, seed=0)
         train(cfg, data, schedule, model)
-        integrals[lam] = robust_curvature_loss(schedule, GridSpec(1000), 1.0)
+        integrals[lam] = robust_curvature_loss(schedule, 1.0)
     return integrals, time.time() - start
 
 

@@ -171,7 +171,9 @@ def test_checkpoint_version_mismatch(tmp_path):
     assert "format_version" in str(exc.value)
 
 
-@pytest.mark.parametrize("field,value", [("step", "many"), ("params", [1, 2])])
+@pytest.mark.parametrize("field,value", [("step", "many"), ("params", [1, 2]),
+                                         ("step", 2.7), ("step", "5"),
+                                         ("step", True)])
 def test_checkpoint_malformed_field(tmp_path, field, value):
     path = _trained_checkpoint(tmp_path)
     doc = json.loads(open(path).read())

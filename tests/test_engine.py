@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from curveflow.engine import (EngineError, ParameterSet, Tensor, concat,
-                              evaluate_with_gradients,
-                              finite_difference_gradient, max_relative_error,
-                              merge_params, silu, square, take, tanh)
+from curveflow.engine import (EngineError, ParameterSet, Tensor, add, concat,
+                              divide, evaluate_with_gradients,
+                              finite_difference_gradient, matmul,
+                              max_relative_error, merge_params, multiply,
+                              silu, square, take, tanh)
+from curveflow.losses import total_loss_graph
+from curveflow.velocity import VelocityField
+from test_schedule import random_neural
 
 
 def test_square_value_and_gradient():
-    val, g = evaluate_with_gradients(lambda p: p["x"].square(),
+    val, g = evaluate_with_gradients(lambda p: square(p["x"]),
                                      ParameterSet({"x": 3.0}))
     assert val == 9.0
     assert g["x"] == 6.0
@@ -77,7 +82,7 @@ def test_gradient_linearity():
     rng = np.random.default_rng(1)
     params = ParameterSet({"x": rng.standard_normal(4)})
     f1 = lambda p: (p["x"] * 3.0).sum()
-    f2 = lambda p: p["x"].square().sum()
+    f2 = lambda p: square(p["x"]).sum()
     _, g1 = evaluate_with_gradients(f1, params)
     _, g2 = evaluate_with_gradients(f2, params)
     _, g12 = evaluate_with_gradients(lambda p: f1(p) + f2(p), params)
@@ -121,7 +126,7 @@ def test_unsupported_primitive_rejected():
 
 def test_ndarray_operands_use_reflected_operators():
     # ndarray (op) Tensor is deferred to the Tensor, which records the
-    # primitive with the ndarray lifted to a constant
+    # primitive with the Tensor as its one parent
     a = np.array([[2.0, 4.0]])
     x = Tensor(np.array([[1.0, 2.0]]))
     for out, op, value in ((a + x, "add", [[3.0, 6.0]]),
@@ -132,6 +137,7 @@ def test_ndarray_operands_use_reflected_operators():
         assert isinstance(out, Tensor)
         assert out.op == op
         assert np.array_equal(out.value, value)
+        assert all(isinstance(p, Tensor) for p in out._parents)
 
 
 def test_division_is_true_division():
@@ -207,3 +213,61 @@ def test_gradient_map_congruent():
     assert g.congruent_with(params)
     assert not g.congruent_with(ParameterSet({"x": np.zeros((3, 2)), "y": 1.0}))
     assert not g.congruent_with(ParameterSet({"x": np.zeros((2, 3))}))
+
+
+def _walk(out):
+    seen, stack, nodes = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_plain_operands_give_plain_arrays():
+    # with no Tensor operand a primitive is the numpy expression itself
+    rng = np.random.default_rng(6)
+    x, y = rng.standard_normal((2, 4, 3))
+    w = rng.standard_normal((3, 5))
+    for got, want in ((add(x, y), x + y), (multiply(x, y), x * y),
+                      (divide(x, y), x / y), (matmul(x, w), x @ w),
+                      (concat(x, y, axis=0), np.concatenate([x, y])),
+                      (concat(x, y[:, :1], axis=1),
+                       np.concatenate([x, y[:, :1]], axis=1)),
+                      (take(x, slice(1, 3)), x[1:3]), (tanh(x), np.tanh(x)),
+                      (silu(x), x * expit(x)), (square(x), np.square(x))):
+        assert type(got) is np.ndarray
+        assert got.tobytes() == want.tobytes()
+
+
+def test_constant_operands_are_not_parents():
+    # a mixed op records only its Tensor operand, whichever side it is on
+    x = Tensor(np.array([[1.0, -2.0]]))
+    c = np.array([[3.0, 0.5]])
+    for out in (add(x, c), add(c, x), multiply(c, x), divide(x, c),
+                divide(c, x), matmul(c.T, x), matmul(x, c.T),
+                concat(c, x, axis=0), 2.0 * x, -x):
+        assert out._parents == (x,)
+        assert len(out._vjps) == 1
+    # x - c is x + (-1.0 * c): the negated constant is a plain array
+    assert (x - c)._parents == (x,)
+    assert multiply(x, x)._parents == (x, x)
+
+
+def test_training_tape_holds_no_constants():
+    schedule = random_neural(0)
+    model = VelocityField.initialize(2, seed=0, hidden=8, time_features=8)
+    rng = np.random.default_rng(7)
+    batch = (rng.standard_normal((4, 2)), rng.standard_normal((4, 2)),
+             rng.random(4))
+    leaves = {n: Tensor(a) for n, a in
+              merge_params(model.params, schedule.params).items()}
+    fm, reg = total_loss_graph(batch, model, schedule, 0.1, leaves)
+    nodes = _walk(fm + reg)
+    assert all(isinstance(n, Tensor) for n in nodes)
+    assert "const" not in {n.op for n in nodes}
+    # every parentless node is a parameter leaf
+    params = {id(leaf) for leaf in leaves.values()}
+    assert all(id(n) in params for n in nodes if not n._parents)

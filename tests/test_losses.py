@@ -7,7 +7,7 @@ from curveflow.engine import (ParameterSet, evaluate_with_gradients,
 from curveflow.errors import ConfigError
 from curveflow.losses import (curve_fm_loss, determinant_profile,
                               robust_curvature_loss, total_loss_graph)
-from curveflow.schedules import (GridSpec, LinearSchedule, NeuralSchedule,
+from curveflow.schedules import (LinearSchedule, NeuralSchedule,
                                  PolynomialSchedule, TrigSchedule,
                                  grid_derivatives)
 from curveflow.velocity import VelocityField
@@ -94,7 +94,7 @@ def test_fm_loss_weight_exactly_one_on_linear_schedule():
     # One row per call, so a 1-ulp weight error is not rounded away in a sum.
     rng = np.random.default_rng(12)
     lin = LinearSchedule()
-    for t in GridSpec(200).interior:
+    for t in np.arange(1, 200) / 200:
         x0, eps = rng.standard_normal((2, 1, 2))
         assert curve_fm_loss((x0, eps, np.array([t])), zero_model(), lin) \
             == np.square(eps - x0).sum(), t
@@ -123,33 +123,29 @@ def test_determinant_profile_polynomial_stub():
 
 
 def test_robust_curvature_loss_values():
-    g = GridSpec(1000)
-    assert robust_curvature_loss(LinearSchedule(), g, 1.0) == 0.0
+    assert robust_curvature_loss(LinearSchedule(), 1.0) == 0.0
     zeroed = NeuralSchedule(hidden=16, embed=8, seed=0)
-    assert robust_curvature_loss(zeroed, g, 1.0) == 0.0
-    trig = robust_curvature_loss(TrigSchedule(), g, 1.0)
+    assert robust_curvature_loss(zeroed, 1.0) == 0.0
+    trig = robust_curvature_loss(TrigSchedule(), 1.0)
     assert abs(trig - HALF_PI ** 6) / HALF_PI ** 6 < 0.01
-    assert robust_curvature_loss(TrigSchedule(), g, 0.0) == 0.0
+    assert robust_curvature_loss(TrigSchedule(), 0.0) == 0.0
     with pytest.raises(ConfigError):
-        robust_curvature_loss(TrigSchedule(), g, -0.5)
+        robust_curvature_loss(TrigSchedule(), -0.5)
 
 
 def test_robust_curvature_loss_linear_in_lambda():
-    g = GridSpec(200)
     sch = random_neural(0)
-    l1 = robust_curvature_loss(sch, g, 0.3)
-    l2 = robust_curvature_loss(sch, g, 0.6)
+    l1 = robust_curvature_loss(sch, 0.3)
+    l2 = robust_curvature_loss(sch, 0.6)
     assert l2 == 2.0 * l1
 
 
 def test_regularizer_converges_to_integral():
-    # the Gauss-Legendre rule integrates a constant determinant exactly,
-    # and its nodes do not depend on the uniform grid
+    # the Gauss-Legendre rule integrates a constant determinant exactly
     exact = HALF_PI ** 6
-    for m in (250, 1000):
-        reg = robust_curvature_loss(TrigSchedule(), GridSpec(m), 1.0)
-        assert abs(reg - exact) <= 1e-12 * exact
-    assert abs(robust_curvature_loss(PolynomialSchedule(), None, 1.0)
+    reg = robust_curvature_loss(TrigSchedule(), 1.0)
+    assert abs(reg - exact) <= 1e-12 * exact
+    assert abs(robust_curvature_loss(PolynomialSchedule(), 1.0)
                - 16.0) <= 1e-12 * 16.0
 
 

@@ -7,7 +7,7 @@ from curveflow.errors import (ConfigError, DegenerateTrajectoryError,
                               ShapeError)
 from curveflow.metrics import (energy_distance, schedule_diagnostics,
                                sliced_wasserstein)
-from curveflow.schedules import GridSpec, LinearSchedule, TrigSchedule
+from curveflow.schedules import LinearSchedule, TrigSchedule
 from curveflow.losses import robust_curvature_loss
 
 HALF_PI = np.pi / 2
@@ -56,11 +56,12 @@ def test_sliced_wasserstein_identity_and_symmetry():
 
 
 def test_sliced_wasserstein_axis_direction_oracle():
-    a = np.array([[0.0, 5.0], [1.0, -3.0]])
-    b = np.array([[1.0, 7.0], [2.0, 11.0]])
-    # projecting on the x-axis: sorted matching of {0,1} vs {1,2}
-    val = sliced_wasserstein(a, b, directions=[[1.0, 0.0]])
-    assert val == 1.0
+    # in 1-D every unit direction is +-1, and either way the sorted
+    # matching of {0, 1} with {1, 2} moves each point by exactly 1
+    a = np.array([[0.0], [1.0]])
+    b = np.array([[1.0], [2.0]])
+    for projections, seed in itertools.product((1, 64, 500), (0, 1, 7)):
+        assert sliced_wasserstein(a, b, projections, seed) == 1.0
 
 
 def test_sliced_wasserstein_translation_bound():
@@ -86,7 +87,7 @@ def test_sliced_wasserstein_seeded():
 
 def test_diagnostics_linear_schedule():
     pairs = [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
-    report = schedule_diagnostics(LinearSchedule(), GridSpec(100), pairs)
+    report = schedule_diagnostics(LinearSchedule(), 100, pairs)
     assert report.determinant_integral == 0.0
     assert np.allclose(report.mean_curvature_profile, 0.0, atol=1e-9)
 
@@ -94,7 +95,7 @@ def test_diagnostics_linear_schedule():
 def test_diagnostics_trig_closed_forms():
     pairs = [(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
              (np.array([0.0, 2.0]), np.array([-2.0, 0.0]))]
-    report = schedule_diagnostics(TrigSchedule(), GridSpec(1000), pairs)
+    report = schedule_diagnostics(TrigSchedule(), 1000, pairs)
     exact = HALF_PI ** 6
     assert abs(report.determinant_integral - exact) / exact < 0.01
     # orthonormal pair has curvature 1, the scaled pair 1/2: mean 0.75
@@ -102,22 +103,30 @@ def test_diagnostics_trig_closed_forms():
 
 
 def test_determinant_integral_matches_regularizer():
-    grid = GridSpec(500)
-    report = schedule_diagnostics(TrigSchedule(), grid, [])
+    report = schedule_diagnostics(TrigSchedule(), 500, [])
     for lam in (0.3, 1.0, 2.5):
-        loss = robust_curvature_loss(TrigSchedule(), grid, lam)
+        loss = robust_curvature_loss(TrigSchedule(), lam)
         assert abs(report.determinant_integral - loss / lam) < 1e-12 * loss / lam
 
 
 def test_diagnostics_all_degenerate_pairs():
     x0 = np.array([1.0, 1.0])
     with pytest.raises(DegenerateTrajectoryError):
-        schedule_diagnostics(LinearSchedule(), GridSpec(50), [(x0, x0)])
+        schedule_diagnostics(LinearSchedule(), 50, [(x0, x0)])
 
 
 def test_diagnostics_skips_degenerate_pairs():
     x0 = np.array([1.0, 1.0])
     good = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    report = schedule_diagnostics(TrigSchedule(), GridSpec(100),
-                                  [(x0, x0), good])
+    report = schedule_diagnostics(TrigSchedule(), 100, [(x0, x0), good])
     assert np.allclose(report.mean_curvature_profile, 1.0, atol=1e-3)
+
+
+def test_diagnostics_profile_grid_interior():
+    report = schedule_diagnostics(LinearSchedule(), 10, [])
+    t = report.profile_t
+    assert len(t) == 9
+    assert t[0] == 1 / 10
+    assert t[-1] == 9 / 10
+    assert np.all(np.diff(t) > 0)
+    assert len(report.det_profile) == len(report.mean_curvature_profile) == 9

@@ -4,7 +4,7 @@ import pytest
 from curveflow.engine import ParameterSet
 from curveflow.errors import ConfigError, DomainError
 from curveflow.schedules import (CoefficientSchedule, DerivativeGrid,
-                                 GridSpec, LinearSchedule, NeuralSchedule,
+                                 LinearSchedule, NeuralSchedule,
                                  PolynomialSchedule, TrigSchedule,
                                  grid_derivatives, make_schedule,
                                  pointwise_derivatives, quadrature)
@@ -101,16 +101,6 @@ def test_pointwise_derivatives_trig_midpoint():
     da = pointwise_derivatives(TrigSchedule(), 0.5).da
     assert abs(float(da) - (-HALF_PI * np.sin(np.pi / 4))) < 1e-9
     assert abs(float(da) - (-1.110721)) < 1e-6
-
-
-def test_grid_spec_validation():
-    with pytest.raises(ConfigError):
-        GridSpec(3)
-    g = GridSpec(10)
-    assert len(g.interior) == 9
-    assert g.interior[0] == 1 / 10
-    assert g.interior[-1] == 9 / 10
-    assert np.all(np.diff(g.interior) > 0)
 
 
 def test_grid_derivatives_linear():
@@ -245,7 +235,7 @@ def test_grid_derivatives_match_three_call_stencil(m, rtol, rtol_second):
     # on which a three-point stencil is exact up to roundoff. The jets need
     # no stencil: at the diagnostics' uniform nodes they are held to the
     # closed form r = c t (1 - t), r' = c (1 - 2 t), r'' = -2 c.
-    t = GridSpec(m).interior
+    t = np.arange(1, m) / m
     for seed in range(3):
         sch = bias_only_neural(seed)
         ca, cb = sch.params["a/b2"][0], sch.params["b/b2"][0]

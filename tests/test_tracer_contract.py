@@ -57,7 +57,7 @@ def test_regularizer_derivatives_are_traced():
     tracer = Tracer()
     tracer.install()
     try:
-        losses.robust_curvature_loss(schedule, None, 0.1)
+        losses.robust_curvature_loss(schedule, 0.1)
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]

@@ -25,6 +25,9 @@ def test_config_validation():
         TrainConfig(lam=-0.1).validate()
     with pytest.raises(ConfigError):
         TrainConfig(timestep_sampler="cosmap").validate()
+    TrainConfig(grid_m=4).validate()
+    with pytest.raises(ConfigError):
+        TrainConfig(grid_m=3).validate()
 
 
 def test_adamw_first_step_hand_value():

@@ -5,7 +5,7 @@ import pytest
 
 from curveflow.errors import DegenerateTrajectoryError, ShapeError
 from curveflow.metrics import cross_magnitude, curvature
-from curveflow.schedules import (GridSpec, LinearSchedule, TrigSchedule,
+from curveflow.schedules import (LinearSchedule, TrigSchedule,
                                  pointwise_derivatives)
 from test_schedule import random_neural
 
@@ -136,7 +136,7 @@ def test_curvature_scaling_inverse():
 
 
 def test_neural_curvature_runs():
-    dg = pointwise_derivatives(random_neural(5), GridSpec(100).interior)
+    dg = pointwise_derivatives(random_neural(5), np.arange(1, 100) / 100)
     k = curvature(dg.da, dg.db, dg.dda, dg.ddb, E1, E2)
     assert k.shape == (99,)
     assert np.all(k >= 0.0)
