@@ -145,19 +145,19 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "config": config_to_dict(ckpt.config),
-        "step": ckpt.step,
-        "params": {n: a.tolist() for n, a in ckpt.params.items()},
-    }
+    head = json.dumps({"format_version": FORMAT_VERSION,
+                       "config": config_to_dict(ckpt.config),
+                       "step": ckpt.step, "params": {}})
     # write a sibling file and rename it over ``path``, so a failed write
     # leaves the previous checkpoint intact instead of a truncated one
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            # one parameter at a time: one string for all costs ~4 MiB of RSS
+            fh.write(head[:-2])
+            for i, (name, arr) in enumerate(ckpt.params.items()):
+                fh.write(", " * (i > 0) + json.dumps({name: arr.tolist()})[1:-1])
+            fh.write("}}\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,10 +1,10 @@
 """Reverse-mode differentiation over named parameter collections.
 
 A deliberately small tape: enough primitives for MLPs and the losses built
-on them (add, multiply, divide, matmul, tanh, SiLU, square, sum, plus
-reshape/take/concat plumbing). All arithmetic is float64. Operations do not
-check their results: a NaN/inf propagates like numpy's, and the training
-loop checks the loss and the gradients once per step.
+on them (add, multiply, divide, matmul, tanh over Taylor jets, SiLU,
+square, sum, plus reshape/take/concat plumbing). All arithmetic is float64.
+Operations do not check their results: a NaN/inf propagates like numpy's,
+and the training loop checks the loss and the gradients once per step.
 
 Each primitive is one function that takes Tensors and plain arrays alike.
 Only the Tensor operands enter the tape as parents; constants stay plain
@@ -175,9 +175,28 @@ def take(x, index):
     return _node(xv[index], "take", (x,), (vjp,))
 
 
-def tanh(x):
-    y = np.tanh(value_of(x))
-    return _node(y, "tanh", (x,), (lambda g: g * (1.0 - y * y),))
+def tanh_jet(u, bias):
+    """tanh on the jets (u0, u', u'') stacked as the 3n rows of ``u``: the
+    jets (h, s u', s (u'' - 2 h u'^2)) of h = tanh(u0 + bias), s = 1 - h^2."""
+    uv, bv = value_of(u), value_of(bias)
+    n = uv.shape[0] // 3
+    du, ddu = uv[n:2 * n], uv[2 * n:]
+    h = np.tanh(uv[:n] + bv)
+    s = 1.0 - h * h
+    w = ddu - (2.0 * h) * (du * du)
+    last = [None, None]
+
+    def vjp(g):  # the three row blocks of d/du, shared with the bias VJP
+        if last[0] is not g:
+            g0, g1, g2 = g[:n], g[n:2 * n], g[2 * n:]
+            last[:] = g, (s * (g0 - (2.0 * h) * (g1 * du + g2 * w)
+                               - (2.0 * s) * (du * du) * g2),
+                          s * (g1 - (4.0 * h) * du * g2), s * g2)
+        return last[1]
+
+    return _node(np.concatenate([h, s * du, s * w]), "tanh_jet", (u, bias),
+                 (lambda g: np.concatenate(vjp(g)),
+                  lambda g: _unbroadcast(vjp(g)[0], bv.shape)))
 
 
 def silu(x):
@@ -244,23 +263,11 @@ class ParameterSet:
     def __getitem__(self, name):
         return self._entries[name]
 
-    def __contains__(self, name):
-        return name in self._entries
-
     def __iter__(self):
         return iter(self._entries)
 
-    def __len__(self):
-        return len(self._entries)
-
-    def names(self):
-        return list(self._entries)
-
     def items(self):
         return self._entries.items()
-
-    def copy(self):
-        return type(self)({n: a.copy() for n, a in self._entries.items()})
 
     def as_dict(self):
         return dict(self._entries)

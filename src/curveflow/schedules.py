@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ParameterSet, concat, square, take, tanh
+from .engine import ParameterSet, take, tanh_jet
 from .errors import ConfigError, DomainError
 
 _HALF_PI = 0.5 * np.pi
@@ -175,23 +175,16 @@ class NeuralSchedule(CoefficientSchedule):
 
     def residual_term(self, prefix, t, params=None):
         """Jets (r, dr/dt, d^2r/dt^2) of r = t (1 - t) f(t), the part of a/b
-        beyond the linear base, at the 1-D times t.
-
-        Each layer runs one matmul over the three jets stacked as 3n rows
-        and adds its bias to the value rows only; tanh maps the jets by
-        h' = (1 - h^2) u' and h'' = (1 - h^2) (u'' - 2 h u'^2).
+        beyond the linear base, at the 1-D times t. Each hidden layer is
+        one matmul and one tanh_jet over the three jets stacked as 3n rows.
         """
         p = self.params if params is None else params
         t = np.atleast_1d(np.asarray(t, dtype=float))
         n = t.size
         x = _feature_jets(t, self.embed)
         for layer in (0, 1):
-            u = x @ p["%s/w%d" % (prefix, layer)]
-            h = tanh(take(u, slice(None, n)) + p["%s/b%d" % (prefix, layer)])
-            du, ddu = take(u, slice(n, 2 * n)), take(u, slice(2 * n, None))
-            s = 1.0 - square(h)
-            x = concat(concat(h, s * du, axis=0),
-                       s * (ddu - (2.0 * h) * square(du)), axis=0)
+            x = tanh_jet(x @ p["%s/w%d" % (prefix, layer)],
+                         p["%s/b%d" % (prefix, layer)])
         out = (x @ p["%s/w2" % prefix]).reshape(3, n)
         f, df, ddf = take(out, 0) + p["%s/b2" % prefix], take(out, 1), take(out, 2)
         q, dq = t * (1.0 - t), 1.0 - 2.0 * t

@@ -76,7 +76,7 @@ def sample_timestep(kind, rng, size):
 
 def adamw_step(params, grads, state, lr, names=None):
     """Decoupled-weight-decay Adam update; returns a new ParameterSet."""
-    names = params.names() if names is None else list(names)
+    names = list(params if names is None else names)
     state.step += 1
     k = state.step
     bc1 = 1.0 - BETA1 ** k

@@ -14,9 +14,8 @@ import pytest
 from curveflow import cli
 from curveflow.datagen import DatasetSpec, generate_split
 from curveflow.losses import robust_curvature_loss
-from curveflow.metrics import (curvature, energy_distance,
-                               schedule_diagnostics, sliced_wasserstein)
-from curveflow.sampling import SolverConfig, sample_batch
+from curveflow.metrics import curvature, schedule_diagnostics
+from curveflow.sampling import SolverConfig
 from curveflow.schedules import (LinearSchedule, NeuralSchedule, TrigSchedule,
                                  grid_derivatives, pointwise_derivatives)
 from curveflow.training import TrainConfig, train

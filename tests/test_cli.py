@@ -13,7 +13,6 @@ from curveflow.config import (config_from_dict, config_to_dict,
 from curveflow.engine import ParameterSet
 from curveflow.errors import (CheckpointError, ConfigError,
                               DegenerateTrajectoryError, ShapeError)
-from curveflow.velocity import VelocityField
 
 
 def small_config(**train_overrides):
@@ -142,6 +141,8 @@ def test_checkpoint_holds_no_optimizer_state(tmp_path):
     path = _trained_checkpoint(tmp_path)
     doc = json.loads(open(path).read())
     assert set(doc) == {"format_version", "config", "step", "params"}
+    # written one parameter at a time, it is the document's json.dumps text
+    assert open(path).read() == json.dumps(doc) + "\n"
     # a checkpoint in the earlier format, which also carried the AdamW
     # state, still loads and samples the same points
     zeros = {n: np.zeros_like(np.asarray(a)).tolist()
@@ -224,12 +225,25 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     before = open(path, "rb").read()
     ckpt = load_checkpoint(path)
 
-    def failing_dump(doc, fh):
-        fh.write('{"format_version": 1, "params": {')
-        raise OSError("disk full")
+    class DiskFull:
+        # the disk fills after the first half of the document is written
+        def __init__(self, fh):
+            self.fh = fh
 
-    monkeypatch.setattr(config.json, "dump", failing_dump)
-    with pytest.raises(OSError):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    monkeypatch.setattr(config, "open", raising=False,
+                        value=lambda f, mode="r": DiskFull(open(f, mode)))
+    with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, ckpt)
     assert open(path, "rb").read() == before
     assert sorted(p.name for p in (tmp_path / "trained").iterdir()) == \

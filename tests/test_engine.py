@@ -6,7 +6,7 @@ from curveflow.engine import (EngineError, ParameterSet, Tensor, add, concat,
                               divide, evaluate_with_gradients,
                               finite_difference_gradient, matmul,
                               max_relative_error, merge_params, multiply,
-                              silu, square, take, tanh)
+                              silu, square, take, tanh_jet)
 from curveflow.losses import total_loss_graph
 from curveflow.velocity import VelocityField
 from test_schedule import random_neural
@@ -28,15 +28,16 @@ def test_product_rule():
 
 
 def _mlp_loss(p):
-    h = tanh(p["in"] @ p["w0"] + p["b0"])
-    h = tanh(h @ p["w1"] + p["b1"])
+    # a tanh MLP on one point's (value, d/dt, d^2/dt^2) rows
+    h = tanh_jet(p["in"] @ p["w0"], p["b0"])
+    h = tanh_jet(h @ p["w1"], p["b1"])
     out = h @ p["w2"] + p["b2"]
     return square(out).sum()
 
 
 def _random_mlp_params(rng, n_in=10, hidden=6):
     return ParameterSet({
-        "in": rng.standard_normal((1, n_in)),
+        "in": rng.standard_normal((3, n_in)),
         "w0": rng.standard_normal((n_in, hidden)),
         "b0": rng.standard_normal(hidden),
         "w1": rng.standard_normal((hidden, hidden)),
@@ -58,7 +59,8 @@ def test_mlp_gradient_matches_finite_differences():
 @pytest.mark.parametrize("name,fn", [
     ("add", lambda x: (x + 1.5).sum()),
     ("multiply", lambda x: (x * 2.5).sum()),
-    ("tanh", lambda x: tanh(x).sum()),
+    ("tanh", lambda x: take(tanh_jet(
+        concat(x.reshape(1, 5), np.zeros((2, 5)), axis=0), 0.0), 0).sum()),
     ("silu", lambda x: silu(x).sum()),
     ("square", lambda x: square(x).sum()),
     ("divide", lambda x: (x / (x * x + 1.0) + 2.0 / (x * x + 2.0)).sum()),
@@ -76,6 +78,29 @@ def test_primitive_gradients_vs_finite_differences(name, fn):
         g_fd = finite_difference_gradient(loss, params, step=1e-5)
         err, _ = max_relative_error(g_ad, g_fd)
         assert err < 1e-4, name
+
+
+@pytest.mark.parametrize("operands", [("u",), ("b",), ("u", "b")],
+                         ids=["u", "bias", "both"])
+def test_tanh_jet_gradients_vs_finite_differences(operands):
+    # 100 random (3n, H) draws per choice of which operands are Tensors;
+    # the other operand enters as a plain array
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        n, hidden = rng.integers(1, 4), rng.integers(1, 4)
+        inputs = {"u": rng.standard_normal((3 * n, hidden)),
+                  "b": rng.standard_normal(hidden)}
+        weights = rng.standard_normal((3 * n, hidden))
+        params = ParameterSet({k: inputs[k] for k in operands})
+
+        def loss(p):
+            v = {**inputs, **p}
+            return (tanh_jet(v["u"], v["b"]) * weights).sum()
+
+        _, g_ad = evaluate_with_gradients(loss, params)
+        g_fd = finite_difference_gradient(loss, params, step=1e-5)
+        err, _ = max_relative_error(g_ad, g_fd)
+        assert err < 1e-4, operands
 
 
 def test_gradient_linearity():
@@ -226,17 +251,28 @@ def _walk(out):
     return nodes
 
 
+def _composed_tanh_jet(u, b):
+    # the tanh layer on jets as numpy composes it, one operation at a time
+    n = u.shape[0] // 3
+    h = np.tanh(u[:n] + b)
+    du, ddu = u[n:2 * n], u[2 * n:]
+    s = 1.0 - np.square(h)
+    return np.concatenate([h, s * du, s * (ddu - (2.0 * h) * np.square(du))])
+
+
 def test_plain_operands_give_plain_arrays():
     # with no Tensor operand a primitive is the numpy expression itself
     rng = np.random.default_rng(6)
     x, y = rng.standard_normal((2, 4, 3))
     w = rng.standard_normal((3, 5))
+    u, b = rng.standard_normal((6, 3)), rng.standard_normal(3)
     for got, want in ((add(x, y), x + y), (multiply(x, y), x * y),
                       (divide(x, y), x / y), (matmul(x, w), x @ w),
                       (concat(x, y, axis=0), np.concatenate([x, y])),
                       (concat(x, y[:, :1], axis=1),
                        np.concatenate([x, y[:, :1]], axis=1)),
-                      (take(x, slice(1, 3)), x[1:3]), (tanh(x), np.tanh(x)),
+                      (take(x, slice(1, 3)), x[1:3]),
+                      (tanh_jet(u, b), _composed_tanh_jet(u, b)),
                       (silu(x), x * expit(x)), (square(x), np.square(x))):
         assert type(got) is np.ndarray
         assert got.tobytes() == want.tobytes()
@@ -256,7 +292,7 @@ def test_constant_operands_are_not_parents():
     assert multiply(x, x)._parents == (x, x)
 
 
-def test_training_tape_holds_no_constants():
+def _neural_loss_tape():
     schedule = random_neural(0)
     model = VelocityField.initialize(2, seed=0, hidden=8, time_features=8)
     rng = np.random.default_rng(7)
@@ -265,9 +301,20 @@ def test_training_tape_holds_no_constants():
     leaves = {n: Tensor(a) for n, a in
               merge_params(model.params, schedule.params).items()}
     fm, reg = total_loss_graph(batch, model, schedule, 0.1, leaves)
-    nodes = _walk(fm + reg)
+    return _walk(fm + reg), leaves
+
+
+def test_training_tape_holds_no_constants():
+    nodes, leaves = _neural_loss_tape()
     assert all(isinstance(n, Tensor) for n in nodes)
     assert "const" not in {n.op for n in nodes}
     # every parentless node is a parameter leaf
     params = {id(leaf) for leaf in leaves.values()}
     assert all(id(n) in params for n in nodes if not n._parents)
+
+
+def test_neural_schedule_records_one_node_per_tanh_layer():
+    # 2 hidden layers x 2 residual nets x {FM target, regularizer}
+    ops = [node.op for node in _neural_loss_tape()[0]]
+    assert ops.count("tanh_jet") == 8
+    assert "tanh" not in ops

@@ -263,7 +263,7 @@ def test_train_updates_schedule_only_when_enabled():
     data = small_dataset(count=64)
     for flag in (False, True):
         schedule = NeuralSchedule(hidden=8, embed=8, seed=0)
-        before = schedule.params.copy()
+        before = {n: a.copy() for n, a in schedule.params.items()}
         cfg = TrainConfig(epochs=1, batch_size=16, lam=0.01, grid_m=16,
                           seed=0, train_schedule=flag)
         model = VelocityField.initialize(2, seed=0, hidden=8, time_features=4)
