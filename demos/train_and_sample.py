@@ -3,7 +3,7 @@
 Trains a rectified-flow model (linear schedule) on the two-moons dataset,
 integrates the learned ODE from noise back to data, and compares the
 generated cloud to held-out points with energy distance and sliced
-Wasserstein. Takes about half a minute on a laptop CPU.
+Wasserstein. Takes about five seconds on one CPU core.
 
     python3 demos/train_and_sample.py
 """
@@ -28,7 +28,7 @@ def main():
     model = VelocityField.initialize(2, seed=0)
     result = train(config, train_set, LinearSchedule(), model)
     print("trained %d steps; final flow-matching loss %.4f"
-          % (result.steps, result.history[-1].fm_loss))
+          % (len(result.history), result.history[-1].fm_loss))
 
     samples = sample_batch(model, 2000, 2, seed=1,
                            config=SolverConfig("heun", 100))

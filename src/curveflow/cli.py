@@ -58,12 +58,11 @@ def write_history_csv(path, history):
                                            _fmt(row.total), _fmt(row.lr)))
 
 
-def _write_manifest(path, config, extra=None):
+def _write_manifest(path, config, steps):
     doc = {"config": config_to_dict(config),
            "seed": config.train.seed,
-           "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    if extra:
-        doc.update(extra)
+           "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+           "steps": steps}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -119,12 +118,12 @@ def cmd_train(args):
                         Checkpoint(config, exc.params, exc.step))
         write_history_csv(os.path.join(outdir, "history.csv"), exc.history)
         raise
+    steps = len(result.history)
     save_checkpoint(os.path.join(outdir, "checkpoint.json"),
-                    Checkpoint(config, result.params, result.steps))
+                    Checkpoint(config, result.params, steps))
     write_history_csv(os.path.join(outdir, "history.csv"), result.history)
-    _write_manifest(os.path.join(outdir, "run_manifest.json"), config,
-                    extra={"steps": result.steps})
-    print("trained %d steps; outputs in %s" % (result.steps, outdir))
+    _write_manifest(os.path.join(outdir, "run_manifest.json"), config, steps)
+    print("trained %d steps; outputs in %s" % (steps, outdir))
     return EXIT_OK
 
 
@@ -261,7 +260,7 @@ def gradcheck(seed=0):
 
     Returns (max relative error, worst parameter name).
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = datagen.philox(seed)
     dim, batch = 2, 4
     schedule = NeuralSchedule(hidden=8, embed=8, seed=seed)
     # perturb all schedule weights so the residual nets are active

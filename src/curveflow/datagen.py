@@ -32,7 +32,10 @@ class DatasetSpec:
         return self
 
 
-def _philox(seed):
+def philox(seed):
+    """The Philox stream keyed by ``seed``: every seeded draw starts here."""
+    if not 0 <= seed < 2 ** 128:
+        raise ConfigError("seed must lie in [0, 2**128), got %d" % seed)
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -53,7 +56,7 @@ def sample_noise(count, dim, seed):
         raise ConfigError("count must be >= 1")
     if dim < 1:
         raise ConfigError("dim must be >= 1")
-    rng = _philox(seed)
+    rng = philox(seed)
     return _box_muller(rng, count * dim).reshape(count, dim)
 
 
@@ -101,14 +104,14 @@ _GENERATORS = {
 def generate(spec):
     """Points for the spec, shape (count, 2)."""
     spec.validate()
-    rng = _philox(spec.seed)
+    rng = philox(spec.seed)
     return _GENERATORS[spec.kind](rng, spec.count, spec.noise_std)
 
 
 def generate_split(spec):
     """(train, held_out) of spec.count each: 2*count points split by parity."""
     spec.validate()
-    rng = _philox(spec.seed)
+    rng = philox(spec.seed)
     pts = _GENERATORS[spec.kind](rng, 2 * spec.count, spec.noise_std)
     return pts[0::2], pts[1::2]
 

@@ -240,8 +240,7 @@ def backward(out):
 
     out.grad = np.ones(())
     for node in reversed(order):
-        if node.grad is None:
-            continue
+        # every consumer of ``node`` precedes it, so its grad is set
         for parent, vjp in zip(node._parents, node._vjps):
             g = np.asarray(vjp(node.grad), dtype=float)
             parent.grad = g if parent.grad is None else parent.grad + g
@@ -298,8 +297,6 @@ def evaluate_with_gradients(loss_fn, params):
     """
     leaves = {name: Tensor(arr.copy()) for name, arr in params.items()}
     out = loss_fn(leaves)
-    if not isinstance(out, Tensor):
-        raise EngineError("loss function must return a Tensor")
     backward(out)
     grads = {}
     for name, leaf in leaves.items():

@@ -77,14 +77,13 @@ def curve_fm_loss(batch, model, schedule, params=None):
     x0, eps, t = as_batch(batch)
     if params is None:
         params = merge_params(model.params, schedule.params).as_dict()
-    dg = pointwise_derivatives(schedule, t, params)
-    a, b = dg.a, dg.b
-    z = a.reshape(-1, 1) * x0 + b.reshape(-1, 1) * eps
-    u = dg.da.reshape(-1, 1) * x0 + dg.db.reshape(-1, 1) * eps
+    tc = t[:, None]  # the fields come as columns over the batch's rows
+    dg = pointwise_derivatives(schedule, tc, params)
+    z = dg.a * x0 + dg.b * eps
+    u = dg.da * x0 + dg.db * eps
     v = model(z, t, params)
-    diff = v - u
-    w = (np.square(1.0 - t) + np.square(t)) / (square(a) + square(b))
-    return (square(diff) * w.reshape(-1, 1)).sum() * (1.0 / x0.shape[0])
+    w = (np.square(1.0 - tc) + np.square(tc)) / (square(dg.a) + square(dg.b))
+    return (square(v - u) * w).sum() * (1.0 / x0.shape[0])
 
 
 def determinant_profile(deriv_grid):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .datagen import philox
 from .errors import ConfigError, DegenerateTrajectoryError, ShapeError
 from .losses import determinant_integral, determinant_profile
 
@@ -54,7 +55,7 @@ def energy_distance(a, b, seed=0):
     b = _points("B", b)
     if a.shape[1] != b.shape[1]:
         raise ShapeError("dimension mismatch: %d vs %d" % (a.shape[1], b.shape[1]))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox(seed)
     a = _maybe_subsample(a, rng)
     b = _maybe_subsample(b, rng)
     ab = cdist(a, b).mean()
@@ -75,7 +76,7 @@ def sliced_wasserstein(a, b, projections=64, seed=0):
                           % (a.shape, b.shape))
     if projections < 1:
         raise ConfigError("projections must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox(seed)
     directions = rng.standard_normal((projections, a.shape[1]))
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     pa = np.sort(a @ directions.T, axis=0)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import philox
 from .engine import ParameterSet, take, tanh_jet
 from .errors import ConfigError, DomainError
 
@@ -84,14 +85,14 @@ class CoefficientSchedule:
     def __init__(self):
         self.params = ParameterSet({})
 
-    def a(self, t, params=None):
-        return pointwise_derivatives(self, t, params).a
+    def a(self, t):
+        return self.derivatives(t).a
 
-    def b(self, t, params=None):
-        return pointwise_derivatives(self, t, params).b
+    def b(self, t):
+        return self.derivatives(t).b
 
     def derivatives(self, t, params=None):
-        """Exact DerivativeGrid at the 1-D array of times t in [0, 1]."""
+        """Exact DerivativeGrid at the times t in [0, 1], shaped like t."""
         raise NotImplementedError
 
 
@@ -159,7 +160,7 @@ class NeuralSchedule(CoefficientSchedule):
         super().__init__()
         self.hidden = hidden
         self.embed = embed
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = philox(seed)
         entries = {}
         for prefix in ("a", "b"):
             dims = [(embed, hidden), (hidden, hidden), (hidden, 1)]
@@ -175,18 +176,19 @@ class NeuralSchedule(CoefficientSchedule):
 
     def residual_term(self, prefix, t, params=None):
         """Jets (r, dr/dt, d^2r/dt^2) of r = t (1 - t) f(t), the part of a/b
-        beyond the linear base, at the 1-D times t. Each hidden layer is
-        one matmul and one tanh_jet over the three jets stacked as 3n rows.
+        beyond the linear base, each shaped like the times t. Each hidden
+        layer is one matmul and one tanh_jet over the jets stacked as 3n rows.
         """
         p = self.params if params is None else params
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = t.size
+        t = np.asarray(t, dtype=float)
         x = _feature_jets(t, self.embed)
         for layer in (0, 1):
             x = tanh_jet(x @ p["%s/w%d" % (prefix, layer)],
                          p["%s/b%d" % (prefix, layer)])
-        out = (x @ p["%s/w2" % prefix]).reshape(3, n)
-        f, df, ddf = take(out, 0) + p["%s/b2" % prefix], take(out, 1), take(out, 2)
+        out = (x @ p["%s/w2" % prefix]).reshape((3,) + t.shape)
+        # the (1,)-shaped bias made 0-d, so a scalar t gives 0-d jets
+        f = take(out, 0) + p["%s/b2" % prefix].reshape(())
+        df, ddf = take(out, 1), take(out, 2)
         q, dq = t * (1.0 - t), 1.0 - 2.0 * t
         return q * f, dq * f + q * df, -2.0 * f + (2.0 * dq) * df + q * ddf
 
@@ -217,9 +219,7 @@ def make_schedule(kind, **kwargs):
 
 def pointwise_derivatives(schedule, t, params=None):
     """DerivativeGrid at the flow-matching target's times t, shaped like t."""
-    t = np.asarray(t, dtype=float)
-    dg = schedule.derivatives(t.reshape(-1), params)
-    return DerivativeGrid(*(f.reshape(t.shape) for f in vars(dg).values()))
+    return schedule.derivatives(t, params)
 
 
 def grid_derivatives(schedule, params=None):

@@ -30,16 +30,14 @@ def _mapper(x0, x1, y0, y1):
 
 
 def _header(title):
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
-             % (_W, _H),
-             '<rect width="100%" height="100%" fill="white"/>']
-    if title:
-        parts.append('<text x="%d" y="24" font-family="sans-serif" '
-                     'font-size="14">%s</text>' % (_PAD, title))
-    return parts
+    return ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
+            % (_W, _H),
+            '<rect width="100%" height="100%" fill="white"/>',
+            '<text x="%d" y="24" font-family="sans-serif" '
+            'font-size="14">%s</text>' % (_PAD, title)]
 
 
-def scatter(path, groups, title=""):
+def scatter(path, groups, title):
     """groups: list of (label, (n,2) array); overlaid with palette colors."""
     arrays = [g[1] for g in groups if len(g[1])]
     parts = _header(title)
@@ -59,7 +57,7 @@ def scatter(path, groups, title=""):
         fh.write("\n".join(parts) + "\n")
 
 
-def lines(path, x, series, title=""):
+def lines(path, x, series, title):
     """series: list of (label, y-array); shared x axis."""
     x = np.asarray(x, float)
     arrays = [np.stack([x, np.asarray(y, float)], axis=1) for _, y in series]

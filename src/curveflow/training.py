@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datagen import philox
 from .engine import ParameterSet, Tensor, backward, merge_params, value_of
 from .errors import ConfigError, DivergenceError
 from .losses import LossReport, total_loss_graph
@@ -74,16 +75,16 @@ def sample_timestep(kind, rng, size):
     return np.clip(t, T_CLAMP, 1.0 - T_CLAMP)
 
 
-def adamw_step(params, grads, state, lr, names=None):
-    """Decoupled-weight-decay Adam update; returns a new ParameterSet."""
-    names = list(params if names is None else names)
+def adamw_step(params, grads, state, lr):
+    """Decoupled-weight-decay Adam update of the parameters named in
+    ``grads``; returns a new ParameterSet."""
     state.step += 1
     k = state.step
     bc1 = 1.0 - BETA1 ** k
     bc2 = 1.0 - BETA2 ** k
     out = params.as_dict()
-    for name in names:
-        g = np.asarray(grads[name], dtype=float)
+    for name, g in grads.items():
+        g = np.asarray(g, dtype=float)
         if not np.all(np.isfinite(g)):
             raise DivergenceError("non-finite gradient for %r" % name,
                                   step=state.step)
@@ -112,7 +113,6 @@ def lr_at(step, total_steps, config):
 class TrainResult:
     params: ParameterSet
     history: list = field(default_factory=list)
-    steps: int = 0
 
 
 def train(config, dataset, schedule, model):
@@ -133,7 +133,7 @@ def train(config, dataset, schedule, model):
 
     params = merge_params(model.params, schedule.params)
     state = OptimizerState.init(params)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rng = philox(config.seed)
 
     trainable = [name for name in params
                  if name.startswith("v/") or config.train_schedule]
@@ -163,7 +163,7 @@ def train(config, dataset, schedule, model):
                 for name in trainable:
                     g = leaves[name].grad
                     grads[name] = np.zeros_like(params[name]) if g is None else g
-                params = adamw_step(params, grads, state, lr, names=trainable)
+                params = adamw_step(params, grads, state, lr)
             except DivergenceError as exc:
                 # ``params`` is still the pre-step state: the update raised
                 raise DivergenceError("training diverged at step %d: %s"
@@ -181,4 +181,4 @@ def train(config, dataset, schedule, model):
     model.params = ParameterSet({name: params[name] for name in model.params})
     schedule.params = ParameterSet({name: params[name]
                                     for name in schedule.params})
-    return TrainResult(params=params, history=history, steps=step)
+    return TrainResult(params=params, history=history)

@@ -7,6 +7,7 @@ with a neural schedule during training.
 
 import numpy as np
 
+from .datagen import philox
 from .engine import ParameterSet, concat, silu, value_of
 from .errors import ConfigError
 from .schedules import sinusoidal_features
@@ -14,25 +15,21 @@ from .schedules import sinusoidal_features
 
 class VelocityField:
 
-    def __init__(self, dim, hidden=128, time_features=16, params=None):
+    def __init__(self, dim, hidden=128, time_features=16):
         if dim < 1:
             raise ConfigError("dim must be >= 1")
         self.dim = dim
         self.hidden = hidden
         self.time_features = time_features
-        self.params = params
-
-    @property
-    def fan_in(self):
-        return self.dim + self.time_features
+        self.params = None
 
     @classmethod
     def initialize(cls, dim, seed=0, hidden=128, time_features=16):
         """Xavier-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases."""
         model = cls(dim, hidden=hidden, time_features=time_features)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        dims = [(model.fan_in, hidden), (hidden, hidden), (hidden, hidden),
-                (hidden, dim)]
+        rng = philox(seed)
+        dims = [(dim + time_features, hidden), (hidden, hidden),
+                (hidden, hidden), (hidden, dim)]
         entries = {}
         for layer, (fan_in, fan_out) in enumerate(dims):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -43,19 +40,12 @@ class VelocityField:
         return model
 
     def __call__(self, z, t, params=None):
-        """Velocity at (z, t); z is (n,) or (batch, n), t scalar or (batch,)."""
+        """Velocity at the rows of z, (batch, dim); t is scalar or (batch,)."""
         p = self.params if params is None else params
-        shape = value_of(z).shape
-        single = len(shape) == 1
-        if single:
-            z, shape = z.reshape(1, -1), (1,) + shape
-        t = np.broadcast_to(np.asarray(t, dtype=float), shape[:1])
+        t = np.broadcast_to(np.asarray(t, dtype=float), value_of(z).shape[:1])
         temb = sinusoidal_features(t, self.time_features)
         h = concat(z, temb, axis=1)
         h = silu(h @ p["v/w0"] + p["v/b0"])
         h = silu(h @ p["v/w1"] + p["v/b1"])
         h = silu(h @ p["v/w2"] + p["v/b2"])
-        out = h @ p["v/w3"] + p["v/b3"]
-        if single:
-            return out.reshape(self.dim)
-        return out
+        return h @ p["v/w3"] + p["v/b3"]

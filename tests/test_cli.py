@@ -129,7 +129,7 @@ def test_checkpoint_round_trip_bit_identical_forward(tmp_path):
     ckpt = load_checkpoint(path)
     model = cli.build_model(ckpt.config)
     model.params = cli._subset(ckpt.params, "v/")
-    z = np.array([0.3, -0.7])
+    z = np.array([[0.3, -0.7]])
     before = model(z, 0.4)
     ckpt2 = load_checkpoint(path)
     model2 = cli.build_model(ckpt2.config)
@@ -418,7 +418,10 @@ BAD_VALUES = [("train", "epochs", "5"), ("solver", "steps", None),
               (None, "lambda_grid", ["x"]), ("train", "epochs", 1.5),
               ("train", "train_schedule", "no"), ("train", "epochs", True),
               ("train", "base_lr", float("nan")),
-              (None, "lambda_grid", [float("inf")])]
+              (None, "lambda_grid", [float("inf")]),
+              # seeds key Philox streams, which take keys in [0, 2**128)
+              ("data", "seed", -3), ("schedule", "seed", -1),
+              ("model", "seed", -1), ("train", "seed", -1)]
 
 
 @pytest.mark.parametrize("section,field,value", BAD_VALUES)
@@ -457,6 +460,24 @@ def test_program_fault_is_not_invalid_input(tmp_path, monkeypatch):
                   "--out", str(tmp_path / "an")])
 
 
+@pytest.mark.parametrize("command,seed", [
+    ("train", "-1"), ("sample", "-1"), ("gradcheck", "-1"),
+    # the seed itself is a Philox key; the velocity field's seed + 1 is not
+    ("gradcheck", str(2 ** 128 - 1))])
+def test_seed_flag_out_of_range_exits_2(tmp_path, capsys, command, seed):
+    argv = [command, "--seed", seed]
+    if command == "train":
+        argv += ["--config", write_config(tmp_path, small_config()),
+                 "--out", str(tmp_path / "x")]
+    elif command == "sample":
+        argv += ["--checkpoint", _trained_checkpoint(tmp_path),
+                 "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed must lie in")
+
+
 def test_console_entry_point_exit_status(tmp_path):
     cfg = write_config(tmp_path, _edited_config("train", "epochs", "5"))
     env = dict(os.environ)
@@ -475,7 +496,8 @@ def test_train_artifacts_independent_of_blas_threads(tmp_path):
     # parts in another order. The regularizer's weight gradient over 1001
     # uniform nodes, a (64x1001)@(1001x64) product, did, and this failed;
     # over 64 quadrature nodes it passes. Where OpenBLAS splits is its own
-    # detail, so this guards the shapes that training multiplies.
+    # detail, so this guards the shapes that training multiplies, and the
+    # 2000-row products of sampling.
     doc = small_config(lam=1e-3, grid_m=1000)
     doc["data"]["count"] = 400
     doc["schedule"]["hidden"] = 64
@@ -489,11 +511,13 @@ def test_train_artifacts_independent_of_blas_threads(tmp_path):
                     "MKL_NUM_THREADS"):
             env[var] = threads
         out = tmp_path / ("threads" + threads)
-        proc = subprocess.run([sys.executable, "-m", "curveflow.cli", "train",
-                               "--config", cfg, "--out", str(out)],
-                              env=env, capture_output=True, text=True,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        artifacts.append([(out / name).read_bytes()
-                          for name in ("history.csv", "checkpoint.json")])
+        for argv in (["train", "--config", cfg, "--out", str(out)],
+                     ["sample", "--checkpoint", str(out / "checkpoint.json"),
+                      "--count", "2000", "--out", str(out)]):
+            proc = subprocess.run([sys.executable, "-m", "curveflow.cli"]
+                                  + argv, env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        artifacts.append([(out / name).read_bytes() for name in
+                          ("history.csv", "checkpoint.json", "samples.csv")])
     assert artifacts[0] == artifacts[1]

@@ -36,3 +36,12 @@ def test_solver_orders_runs(capsys):
     load_demo("solver_orders").main()
     printed = capsys.readouterr().out
     assert "euler" in printed and "heun" in printed
+
+
+def test_train_and_sample_runs(tmp_path, monkeypatch, capsys):
+    demo = load_demo("train_and_sample")
+    monkeypatch.setattr(demo, "OUT", str(tmp_path))
+    demo.main()
+    assert (tmp_path / "two_moons_samples.svg").exists()
+    printed = capsys.readouterr().out
+    assert "trained 625 steps" in printed and "energy distance" in printed

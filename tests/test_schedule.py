@@ -200,6 +200,18 @@ def test_neural_target_second_order_at_the_ends():
             assert np.max(np.abs(got - ref)) < 1e-6, (t, prefix)
 
 
+@pytest.mark.parametrize("kind", ["linear", "trigonometric", "polynomial",
+                                  "neural"])
+def test_fields_shaped_like_t(kind):
+    sch = random_neural(4) if kind == "neural" else make_schedule(kind)
+    row = np.linspace(0.1, 0.9, 5)
+    for t in (0.3, row, row[:, None]):
+        shape = np.shape(t)
+        dg = pointwise_derivatives(sch, t)
+        assert all(np.shape(f) == shape for f in vars(dg).values()), shape
+        assert np.shape(sch.a(t)) == shape and np.shape(sch.b(t)) == shape
+
+
 def test_residual_evaluated_once_per_node(monkeypatch):
     sch = random_neural(3)
     calls = []

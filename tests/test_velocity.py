@@ -11,9 +11,9 @@ from curveflow.velocity import VelocityField
 def test_output_dimension_matches_input():
     for n in (2, 4, 8):
         model = VelocityField.initialize(n, seed=0, hidden=16, time_features=4)
-        z = np.linspace(-1.0, 1.0, n)
+        z = np.linspace(-1.0, 1.0, n).reshape(1, n)
         out = model(z, 0.5)
-        assert out.shape == (n,)
+        assert out.shape == (1, n)
 
 
 def test_batched_evaluation_shape():
@@ -25,7 +25,7 @@ def test_batched_evaluation_shape():
 
 def test_forward_deterministic():
     model = VelocityField.initialize(3, seed=1)
-    z = np.array([0.1, -0.2, 0.4])
+    z = np.array([[0.1, -0.2, 0.4]])
     o1 = model(z, 0.7)
     o2 = model(z, 0.7)
     assert np.array_equal(o1, o2)
@@ -35,7 +35,7 @@ def test_forward_finite_on_bounded_inputs():
     rng = np.random.default_rng(0)
     model = VelocityField.initialize(2, seed=2)
     for _ in range(50):
-        z = rng.uniform(-10.0, 10.0, size=2)
+        z = rng.uniform(-10.0, 10.0, size=(1, 2))
         assert np.all(np.isfinite(model(z, rng.random())))
 
 
@@ -50,7 +50,6 @@ def test_initialize_seeding():
 
 def test_initialize_layout():
     model = VelocityField.initialize(3, seed=0, hidden=32, time_features=8)
-    assert model.fan_in == 3 + 8
     assert model.params["v/w0"].shape == (11, 32)
     assert model.params["v/w3"].shape == (32, 3)
     for layer in range(4):
@@ -67,7 +66,7 @@ def test_invalid_dim_rejected():
 
 def test_gradient_matches_finite_differences():
     model = VelocityField.initialize(2, seed=3, hidden=8, time_features=4)
-    z = np.array([0.3, -0.5])
+    z = np.array([[0.3, -0.5]])
 
     def loss(p):
         out = model(z, 0.4, params=p)
@@ -84,8 +83,8 @@ def test_empirical_lipschitz_bound():
     model = VelocityField.initialize(2, seed=0)
     delta = 1e-6
     for _ in range(20):
-        z = rng.uniform(-5.0, 5.0, size=2)
-        d = rng.standard_normal(2)
+        z = rng.uniform(-5.0, 5.0, size=(1, 2))
+        d = rng.standard_normal((1, 2))
         d = delta * d / np.linalg.norm(d)
         change = np.linalg.norm(model(z + d, 0.5) - model(z, 0.5))
         assert change <= 1e4 * delta
