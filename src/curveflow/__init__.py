@@ -8,7 +8,7 @@ rectified flow as the zero-residual special case.
 from .datagen import (DatasetSpec, export_csv, generate, generate_split,
                       sample_noise)
 from .engine import (ParameterSet, Tensor, backward, evaluate_with_gradients,
-                     finite_difference_gradient, merge_params)
+                     finite_difference_gradient)
 from .losses import (LossReport, curve_fm_loss, determinant_profile,
                      robust_curvature_loss)
 from .metrics import (EvalReport, cross_magnitude, curvature, energy_distance,

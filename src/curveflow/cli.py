@@ -17,9 +17,8 @@ import numpy as np
 from . import datagen, losses, metrics, svgplot
 from .config import (Checkpoint, ExperimentConfig, config_to_dict,
                      load_checkpoint, load_config, save_checkpoint)
-from .engine import (ParameterSet, evaluate_with_gradients,
-                     finite_difference_gradient, max_relative_error,
-                     merge_params)
+from .engine import (evaluate_with_gradients, finite_difference_gradient,
+                     max_relative_error)
 from .errors import (CheckpointError, ConfigError, DegenerateTrajectoryError,
                      DivergenceError)
 from .sampling import SolverConfig, sample_batch
@@ -143,13 +142,14 @@ def load_run(path):
     ckpt = load_checkpoint(path)
     model = build_model(ckpt.config)
     schedule = build_schedule(ckpt.config)
-    if not ckpt.params.congruent_with(merge_params(model.params,
-                                                   schedule.params)):
+    expected = {**model.params, **schedule.params}
+    if ({n: a.shape for n, a in ckpt.params.items()}
+            != {n: a.shape for n, a in expected.items()}):
         raise CheckpointError(
             "checkpoint %s: parameter names or shapes do not fit the model "
             "and schedule sections of its config" % path)
-    model.params = _subset(ckpt.params, "v/")
-    schedule.params = _subset(ckpt.params, ("a/", "b/"))
+    model.params = {n: ckpt.params[n] for n in model.params}
+    schedule.params = {n: ckpt.params[n] for n in schedule.params}
     return ckpt, model, schedule
 
 
@@ -171,11 +171,6 @@ def cmd_sample(args):
                     title="generated vs held-out")
     print("wrote %d samples to %s" % (len(samples), outdir))
     return EXIT_OK
-
-
-def _subset(params, prefix):
-    return ParameterSet({n: a for n, a in params.items()
-                         if n.startswith(prefix)})
 
 
 def cmd_analyze(args):
@@ -264,12 +259,11 @@ def gradcheck(seed=0):
     dim, batch = 2, 4
     schedule = NeuralSchedule(hidden=8, embed=8, seed=seed)
     # perturb all schedule weights so the residual nets are active
-    schedule.params = ParameterSet({
-        n: a + 0.1 * rng.standard_normal(a.shape)
-        for n, a in schedule.params.items()})
+    schedule.params = {n: a + 0.1 * rng.standard_normal(a.shape)
+                       for n, a in schedule.params.items()}
     model = VelocityField.initialize(dim, seed=seed + 1, hidden=16,
                                      time_features=8)
-    params = merge_params(model.params, schedule.params)
+    params = {**model.params, **schedule.params}
     x0 = rng.standard_normal((batch, dim))
     eps = rng.standard_normal((batch, dim))
     t = np.clip(rng.random(batch), 0.05, 0.95)

@@ -11,9 +11,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .datagen import DatasetSpec
+from . import schedules
+from .datagen import DatasetSpec, check_seed
 from .engine import ParameterSet
 from .errors import CheckpointError, ConfigError
 from .sampling import SolverConfig
@@ -30,7 +29,7 @@ class ScheduleConfig:
     seed: int = 0
 
     def validate(self):
-        if self.kind not in ("neural", "linear", "trigonometric", "polynomial"):
+        if self.kind not in schedules.KINDS:
             raise ConfigError("unknown schedule kind %r" % self.kind)
         if self.hidden < 1 or self.embed < 2 or self.embed % 2:
             raise ConfigError("invalid schedule layout")
@@ -77,7 +76,10 @@ class ExperimentConfig:
             raise ConfigError("unsupported format_version %r" % self.format_version)
         for f in dataclasses.fields(self):
             if dataclasses.is_dataclass(f.type):
-                getattr(self, f.name).validate()
+                section = getattr(self, f.name).validate()
+                if hasattr(section, "seed"):
+                    check_seed(section.seed)
+        check_seed(self.data.seed + 1)  # cli._diagnostic_pairs' noise key
         for lam in self.lambda_grid:
             if lam < 0:
                 raise ConfigError("lambda_grid entries must be >= 0")
@@ -140,7 +142,7 @@ def load_config(path):
 @dataclass
 class Checkpoint:
     config: ExperimentConfig
-    params: ParameterSet
+    params: dict
     step: int
 
 
@@ -181,8 +183,7 @@ def load_checkpoint(path):
             raise CheckpointError("missing field: %s" % fieldname)
     try:
         config = config_from_dict(doc["config"])
-        params = ParameterSet({n: np.asarray(a, dtype=float)
-                               for n, a in doc["params"].items()})
+        params = ParameterSet(doc["params"])
         step = _typed(doc["step"], int, "step")
     except (AttributeError, TypeError, ValueError) as exc:
         raise CheckpointError("malformed checkpoint field: %s" % exc) from exc

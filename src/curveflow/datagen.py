@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-KINDS = ("gaussians8", "two_moons", "checkerboard", "spiral")
-
 
 @dataclass
 class DatasetSpec:
@@ -32,11 +30,16 @@ class DatasetSpec:
         return self
 
 
-def philox(seed):
-    """The Philox stream keyed by ``seed``: every seeded draw starts here."""
+def check_seed(seed):
+    """``seed`` if it is a Philox key, in [0, 2**128); else ConfigError."""
     if not 0 <= seed < 2 ** 128:
         raise ConfigError("seed must lie in [0, 2**128), got %d" % seed)
-    return np.random.Generator(np.random.Philox(key=seed))
+    return seed
+
+
+def philox(seed):
+    """The Philox stream keyed by ``seed``: every seeded draw starts here."""
+    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
 def _box_muller(rng, n):
@@ -99,6 +102,7 @@ _GENERATORS = {
     "checkerboard": _checkerboard,
     "spiral": _spiral,
 }
+KINDS = tuple(_GENERATORS)
 
 
 def generate(spec):

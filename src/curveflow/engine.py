@@ -248,49 +248,22 @@ def backward(out):
 
 # parameter collections --------------------------------------------------
 
-class ParameterSet:
-    """Named, shape-fixed collection of finite float64 arrays."""
+class ParameterSet(dict):
+    """Parameters read from outside the program: name -> float64 array,
+    each checked to be finite. Parameters built inside are plain dicts."""
 
     def __init__(self, entries):
-        self._entries = {}
-        for name, arr in dict(entries).items():
+        for name, arr in entries.items():
             a = np.array(arr, dtype=float)
             if not np.all(np.isfinite(a)):
                 raise ValueError("parameter %r contains non-finite entries" % name)
-            self._entries[name] = a
-
-    def __getitem__(self, name):
-        return self._entries[name]
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def items(self):
-        return self._entries.items()
-
-    def as_dict(self):
-        return dict(self._entries)
-
-    def congruent_with(self, other):
-        return (set(self._entries) == set(other._entries)
-                and all(self._entries[n].shape == other[n].shape
-                        for n in self._entries))
-
-
-def merge_params(*sets):
-    merged = {}
-    for pset in sets:
-        for name, arr in pset.items():
-            if name in merged:
-                raise ValueError("duplicate parameter name %r" % name)
-            merged[name] = arr
-    return ParameterSet(merged)
+            self[name] = a
 
 
 def evaluate_with_gradients(loss_fn, params):
     """Forward-evaluate ``loss_fn`` and return (value, gradients).
 
-    The gradients are a ParameterSet congruent with ``params``.
+    The gradients are a dict with the names and shapes of ``params``.
 
     ``loss_fn`` receives a mapping name -> Tensor leaf and must return a
     scalar Tensor built from supported primitives.
@@ -302,7 +275,7 @@ def evaluate_with_gradients(loss_fn, params):
     for name, leaf in leaves.items():
         g = leaf.grad
         grads[name] = np.zeros_like(leaf.value) if g is None else np.asarray(g, float)
-    return float(out.value), ParameterSet(grads)
+    return float(out.value), grads
 
 
 def finite_difference_gradient(loss_fn, params, step=1e-5):
@@ -324,7 +297,7 @@ def finite_difference_gradient(loss_fn, params, step=1e-5):
             flat[i] = keep
             gflat[i] = (hi - lo) / (2.0 * step)
         grads[name] = g
-    return ParameterSet(grads)
+    return grads
 
 
 def max_relative_error(g1, g2, floor=1e-4):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import merge_params, square
+from .engine import square
 from .errors import ConfigError
 from .schedules import grid_derivatives, pointwise_derivatives, quadrature
 
@@ -76,7 +76,7 @@ def curve_fm_loss(batch, model, schedule, params=None):
     """
     x0, eps, t = as_batch(batch)
     if params is None:
-        params = merge_params(model.params, schedule.params).as_dict()
+        params = {**model.params, **schedule.params}
     tc = t[:, None]  # the fields come as columns over the batch's rows
     dg = pointwise_derivatives(schedule, tc, params)
     z = dg.a * x0 + dg.b * eps

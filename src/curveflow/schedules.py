@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import philox
-from .engine import ParameterSet, take, tanh_jet
+from .engine import take, tanh_jet
 from .errors import ConfigError, DomainError
 
 _HALF_PI = 0.5 * np.pi
@@ -83,7 +83,7 @@ class CoefficientSchedule:
     kind = "abstract"
 
     def __init__(self):
-        self.params = ParameterSet({})
+        self.params = {}
 
     def a(self, t):
         return self.derivatives(t).a
@@ -172,7 +172,7 @@ class NeuralSchedule(CoefficientSchedule):
                     w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
                 entries["%s/w%d" % (prefix, layer)] = w
                 entries["%s/b%d" % (prefix, layer)] = np.zeros(fan_out)
-        self.params = ParameterSet(entries)
+        self.params = entries
 
     def residual_term(self, prefix, t, params=None):
         """Jets (r, dr/dt, d^2r/dt^2) of r = t (1 - t) f(t), the part of a/b
@@ -201,18 +201,16 @@ class NeuralSchedule(CoefficientSchedule):
                               -1.0 + dra, 1.0 + drb, ddra, ddrb)
 
 
-_KINDS = {
-    "linear": LinearSchedule,
-    "trigonometric": TrigSchedule,
-    "polynomial": PolynomialSchedule,
-}
+_ANALYTIC = {cls.kind: cls
+             for cls in (LinearSchedule, TrigSchedule, PolynomialSchedule)}
+KINDS = (NeuralSchedule.kind,) + tuple(_ANALYTIC)
 
 
 def make_schedule(kind, **kwargs):
-    if kind == "neural":
+    if kind == NeuralSchedule.kind:
         return NeuralSchedule(**kwargs)
     try:
-        return _KINDS[kind]()
+        return _ANALYTIC[kind]()
     except KeyError:
         raise ConfigError("unknown schedule kind %r" % kind) from None
 

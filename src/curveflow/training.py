@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import philox
-from .engine import ParameterSet, Tensor, backward, merge_params, value_of
+from .engine import Tensor, backward, value_of
 from .errors import ConfigError, DivergenceError
 from .losses import LossReport, total_loss_graph
 
@@ -77,12 +77,12 @@ def sample_timestep(kind, rng, size):
 
 def adamw_step(params, grads, state, lr):
     """Decoupled-weight-decay Adam update of the parameters named in
-    ``grads``; returns a new ParameterSet."""
+    ``grads``; returns a new dict, leaving ``params`` as it was."""
     state.step += 1
     k = state.step
     bc1 = 1.0 - BETA1 ** k
     bc2 = 1.0 - BETA2 ** k
-    out = params.as_dict()
+    out = dict(params)
     for name, g in grads.items():
         g = np.asarray(g, dtype=float)
         if not np.all(np.isfinite(g)):
@@ -95,7 +95,7 @@ def adamw_step(params, grads, state, lr):
         v_hat = state.v[name] / bc2
         out[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) \
             - lr * WEIGHT_DECAY * p
-    return ParameterSet(out)
+    return out
 
 
 def lr_at(step, total_steps, config):
@@ -111,7 +111,7 @@ def lr_at(step, total_steps, config):
 
 @dataclass
 class TrainResult:
-    params: ParameterSet
+    params: dict
     history: list = field(default_factory=list)
 
 
@@ -131,12 +131,12 @@ def train(config, dataset, schedule, model):
         raise ConfigError("dataset is empty")
     n, dim = data.shape
 
-    params = merge_params(model.params, schedule.params)
+    params = {**model.params, **schedule.params}
     state = OptimizerState.init(params)
     rng = philox(config.seed)
 
     trainable = [name for name in params
-                 if name.startswith("v/") or config.train_schedule]
+                 if name in model.params or config.train_schedule]
 
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
@@ -178,7 +178,6 @@ def train(config, dataset, schedule, model):
             step += 1
 
     # push the trained arrays back into the owning objects
-    model.params = ParameterSet({name: params[name] for name in model.params})
-    schedule.params = ParameterSet({name: params[name]
-                                    for name in schedule.params})
+    model.params = {name: params[name] for name in model.params}
+    schedule.params = {name: params[name] for name in schedule.params}
     return TrainResult(params=params, history=history)

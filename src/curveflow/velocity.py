@@ -1,14 +1,14 @@
 """Trainable velocity field v(z, t) for low-dimensional data.
 
 A SiLU MLP (3 hidden layers, default width 128) on [z, time-embedding].
-Parameter names are prefixed "v/" so the field can share one ParameterSet
-with a neural schedule during training.
+Parameter names are prefixed "v/" so the field's parameters can share one
+dict with a neural schedule's during training.
 """
 
 import numpy as np
 
 from .datagen import philox
-from .engine import ParameterSet, concat, silu, value_of
+from .engine import concat, silu, value_of
 from .errors import ConfigError
 from .schedules import sinusoidal_features
 
@@ -36,7 +36,7 @@ class VelocityField:
             entries["v/w%d" % layer] = rng.uniform(-limit, limit,
                                                    size=(fan_in, fan_out))
             entries["v/b%d" % layer] = np.zeros(fan_out)
-        model.params = ParameterSet(entries)
+        model.params = entries
         return model
 
     def __call__(self, z, t, params=None):

@@ -10,7 +10,6 @@ import curveflow
 from curveflow import cli, config
 from curveflow.config import (config_from_dict, config_to_dict,
                               load_checkpoint, save_checkpoint)
-from curveflow.engine import ParameterSet
 from curveflow.errors import (CheckpointError, ConfigError,
                               DegenerateTrajectoryError, ShapeError)
 
@@ -126,14 +125,10 @@ def test_sample_rejects_bad_checkpoint(tmp_path):
 
 def test_checkpoint_round_trip_bit_identical_forward(tmp_path):
     path = _trained_checkpoint(tmp_path)
-    ckpt = load_checkpoint(path)
-    model = cli.build_model(ckpt.config)
-    model.params = cli._subset(ckpt.params, "v/")
+    _, model, _ = cli.load_run(path)
     z = np.array([[0.3, -0.7]])
     before = model(z, 0.4)
-    ckpt2 = load_checkpoint(path)
-    model2 = cli.build_model(ckpt2.config)
-    model2.params = cli._subset(ckpt2.params, "v/")
+    _, model2, _ = cli.load_run(path)
     assert np.array_equal(before, model2(z, 0.4))
 
 
@@ -197,11 +192,13 @@ def _edited_checkpoint(tmp_path, section, field, value):
 
 
 def test_sample_rejects_checkpoint_that_does_not_fit_config(tmp_path, capsys):
-    bad = _edited_checkpoint(tmp_path, "model", "hidden", 32)
-    assert cli.main(["sample", "--checkpoint", bad,
-                     "--out", str(tmp_path / "x")]) == 2
-    assert "do not fit" in capsys.readouterr().err
-    assert not (tmp_path / "x" / "samples.csv").exists()
+    # a changed shape, and extra names: a linear schedule has no parameters
+    for edit in (("model", "hidden", 32), ("schedule", "kind", "linear")):
+        bad = _edited_checkpoint(tmp_path, *edit)
+        assert cli.main(["sample", "--checkpoint", bad,
+                         "--out", str(tmp_path / "x")]) == 2
+        assert "do not fit" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "samples.csv").exists()
 
 
 def test_analyze_rejects_checkpoint_that_does_not_fit_config(tmp_path, capsys):
@@ -361,9 +358,8 @@ def test_gradcheck_negative_control(monkeypatch, capsys):
 
     def corrupted(loss_fn, params):
         value, grads = evaluate(loss_fn, params)
-        bad = grads.as_dict()
-        bad["a/b0"] = bad["a/b0"] + 1e-2
-        return value, ParameterSet(bad)
+        grads["a/b0"] = grads["a/b0"] + 1e-2
+        return value, grads
 
     monkeypatch.setattr(cli, "evaluate_with_gradients", corrupted)
     assert cli.main(["gradcheck", "--seed", "0"]) == 1
@@ -421,7 +417,9 @@ BAD_VALUES = [("train", "epochs", "5"), ("solver", "steps", None),
               (None, "lambda_grid", [float("inf")]),
               # seeds key Philox streams, which take keys in [0, 2**128)
               ("data", "seed", -3), ("schedule", "seed", -1),
-              ("model", "seed", -1), ("train", "seed", -1)]
+              ("model", "seed", -1), ("train", "seed", -1),
+              # keys train never draws (metrics.seed, data.seed + 1) too
+              ("metrics", "seed", -1), ("data", "seed", 2 ** 128 - 1)]
 
 
 @pytest.mark.parametrize("section,field,value", BAD_VALUES)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from curveflow.engine import (ParameterSet, evaluate_with_gradients,
+from curveflow.engine import (evaluate_with_gradients,
                               finite_difference_gradient, max_relative_error,
-                              merge_params, value_of)
+                              value_of)
 from curveflow.errors import ConfigError
 from curveflow.losses import (curve_fm_loss, determinant_profile,
                               robust_curvature_loss, total_loss_graph)
@@ -22,7 +22,7 @@ class OracleModel:
     def __init__(self, fn, dim=2):
         self.fn = fn
         self.dim = dim
-        self.params = ParameterSet({})
+        self.params = {}
 
     def __call__(self, z, t, params=None):
         return self.fn(value_of(z), np.asarray(t))
@@ -181,7 +181,7 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     schedule = random_neural(1, scale=0.2)
     model = VelocityField.initialize(2, seed=2, hidden=8, time_features=4)
-    params = merge_params(model.params, schedule.params)
+    params = {**model.params, **schedule.params}
     x0 = rng.standard_normal((3, 2))
     eps = rng.standard_normal((3, 2))
     t = np.clip(rng.random(3), 0.05, 0.95)

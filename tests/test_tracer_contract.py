@@ -14,7 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 import numpy as np  # noqa: E402
 
 from curveflow import losses  # noqa: E402
-from curveflow.engine import Tensor, merge_params  # noqa: E402
+from curveflow.engine import Tensor  # noqa: E402
 from curveflow.losses import curve_fm_loss  # noqa: E402
 from curveflow.schedules import NeuralSchedule  # noqa: E402
 from curveflow.velocity import VelocityField  # noqa: E402
@@ -36,7 +36,7 @@ def test_fm_target_derivatives_are_traced():
     schedule = NeuralSchedule(hidden=8, embed=8, seed=0)
     model = VelocityField.initialize(2, seed=1, hidden=8, time_features=4)
     leaves = {n: Tensor(a) for n, a in
-              merge_params(model.params, schedule.params).items()}
+              {**model.params, **schedule.params}.items()}
     batch = (rng.standard_normal((4, 2)), rng.standard_normal((4, 2)),
              rng.random(4))
     tracer = Tracer()
