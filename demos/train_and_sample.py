@@ -25,7 +25,7 @@ def main():
 
     config = TrainConfig(epochs=25, batch_size=80, base_lr=4e-3, lam=0.0,
                          seed=0, train_schedule=False)
-    model = VelocityField.initialize(2, seed=0)
+    model = VelocityField(2, seed=0)
     result = train(config, train_set, LinearSchedule(), model)
     print("trained %d steps; final flow-matching loss %.4f"
           % (len(result.history), result.history[-1].fm_loss))

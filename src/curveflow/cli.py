@@ -19,8 +19,7 @@ from .config import (Checkpoint, ExperimentConfig, config_to_dict,
                      load_checkpoint, load_config, save_checkpoint)
 from .engine import (evaluate_with_gradients, finite_difference_gradient,
                      max_relative_error)
-from .errors import (CheckpointError, ConfigError, DegenerateTrajectoryError,
-                     DivergenceError)
+from .errors import ConfigError, DegenerateTrajectoryError, DivergenceError
 from .sampling import SolverConfig, sample_batch
 from .schedules import NeuralSchedule, make_schedule
 from .training import train
@@ -44,8 +43,8 @@ def build_schedule(config):
 
 def build_model(config, dim=2):
     mc = config.model
-    return VelocityField.initialize(dim, seed=mc.seed, hidden=mc.hidden,
-                                    time_features=mc.time_features)
+    return VelocityField(dim, hidden=mc.hidden,
+                         time_features=mc.time_features, seed=mc.seed)
 
 
 def write_history_csv(path, history):
@@ -136,7 +135,7 @@ def _load_config_with_overrides(args):
 def load_run(path):
     """A checkpoint with its model and schedule, holding the trained weights.
 
-    Raises CheckpointError if the parameter names or shapes do not fit the
+    Raises ConfigError if the parameter names or shapes do not fit the
     model and schedule sections of the checkpoint's config.
     """
     ckpt = load_checkpoint(path)
@@ -145,7 +144,7 @@ def load_run(path):
     expected = {**model.params, **schedule.params}
     if ({n: a.shape for n, a in ckpt.params.items()}
             != {n: a.shape for n, a in expected.items()}):
-        raise CheckpointError(
+        raise ConfigError(
             "checkpoint %s: parameter names or shapes do not fit the model "
             "and schedule sections of its config" % path)
     model.params = {n: ckpt.params[n] for n in model.params}
@@ -261,8 +260,7 @@ def gradcheck(seed=0):
     # perturb all schedule weights so the residual nets are active
     schedule.params = {n: a + 0.1 * rng.standard_normal(a.shape)
                        for n, a in schedule.params.items()}
-    model = VelocityField.initialize(dim, seed=seed + 1, hidden=16,
-                                     time_features=8)
+    model = VelocityField(dim, hidden=16, time_features=8, seed=seed + 1)
     params = {**model.params, **schedule.params}
     x0 = rng.standard_normal((batch, dim))
     eps = rng.standard_normal((batch, dim))
@@ -328,13 +326,13 @@ def main(argv=None):
     """Run one subcommand; the one place that maps errors to exit codes.
 
     Only errors in the input and numerical divergence become exit codes.
-    Any other exception, a ``ValueError`` such as ``ShapeError`` included,
-    is a fault in the program and propagates as a traceback.
+    Any other exception, a ``ValueError`` that is not a ``ConfigError``
+    among them, is a fault in the program and propagates as a traceback.
     """
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError) as exc:
+    except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     except (DivergenceError, DegenerateTrajectoryError) as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import schedules
 from .datagen import DatasetSpec, check_seed
 from .engine import ParameterSet
-from .errors import CheckpointError, ConfigError
+from .errors import ConfigError
 from .sampling import SolverConfig
 from .training import TrainConfig
 
@@ -78,8 +78,8 @@ class ExperimentConfig:
             if dataclasses.is_dataclass(f.type):
                 section = getattr(self, f.name).validate()
                 if hasattr(section, "seed"):
-                    check_seed(section.seed)
-        check_seed(self.data.seed + 1)  # cli._diagnostic_pairs' noise key
+                    check_seed(section.seed, f.name + ".seed")
+        check_seed(self.data.seed + 1, "data.seed + 1")  # diagnostics' noise
         for lam in self.lambda_grid:
             if lam < 0:
                 raise ConfigError("lambda_grid entries must be >= 0")
@@ -172,19 +172,19 @@ def load_checkpoint(path):
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError("cannot read checkpoint %s: %s" % (path, exc)) from exc
+        raise ConfigError("cannot read checkpoint %s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
-        raise CheckpointError("missing field: format_version")
+        raise ConfigError("missing field: format_version")
     if doc["format_version"] != FORMAT_VERSION:
-        raise CheckpointError("format_version mismatch: got %r, expected %d"
-                              % (doc["format_version"], FORMAT_VERSION))
+        raise ConfigError("format_version mismatch: got %r, expected %d"
+                          % (doc["format_version"], FORMAT_VERSION))
     for fieldname in ("config", "step", "params"):
         if fieldname not in doc:
-            raise CheckpointError("missing field: %s" % fieldname)
+            raise ConfigError("missing field: %s" % fieldname)
     try:
         config = config_from_dict(doc["config"])
         params = ParameterSet(doc["params"])
         step = _typed(doc["step"], int, "step")
     except (AttributeError, TypeError, ValueError) as exc:
-        raise CheckpointError("malformed checkpoint field: %s" % exc) from exc
+        raise ConfigError("malformed checkpoint field: %s" % exc) from exc
     return Checkpoint(config=config, params=params, step=step)

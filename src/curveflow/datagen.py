@@ -30,10 +30,12 @@ class DatasetSpec:
         return self
 
 
-def check_seed(seed):
-    """``seed`` if it is a Philox key, in [0, 2**128); else ConfigError."""
+def check_seed(seed, where=None):
+    """``seed`` if it is a Philox key, in [0, 2**128); else ConfigError,
+    naming the config field ``where`` when one is given."""
     if not 0 <= seed < 2 ** 128:
-        raise ConfigError("seed must lie in [0, 2**128), got %d" % seed)
+        raise ConfigError("seed must lie in [0, 2**128), got %d%s"
+                          % (seed, " (%s)" % where if where else ""))
     return seed
 
 

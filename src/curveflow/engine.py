@@ -21,10 +21,6 @@ import numpy as np
 from scipy.special import expit
 
 
-class EngineError(Exception):
-    pass
-
-
 def _unbroadcast(grad, shape):
     """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
     grad = np.asarray(grad, dtype=float)
@@ -147,8 +143,8 @@ def divide(a, b):
 def matmul(a, b):
     av, bv = value_of(a), value_of(b)
     if av.ndim != 2 or bv.ndim != 2:
-        raise EngineError("matmul takes 2-D operands, got %d-D @ %d-D"
-                          % (av.ndim, bv.ndim))
+        raise ValueError("matmul takes 2-D operands, got %d-D @ %d-D"
+                         % (av.ndim, bv.ndim))
     return _node(av @ bv, "matmul", (a, b),
                  (lambda g: g @ bv.T, lambda g: av.T @ g))
 
@@ -219,9 +215,9 @@ def square(x):
 def backward(out):
     """Accumulate d(out)/d(leaf) into ``.grad`` over the graph below ``out``."""
     if not isinstance(out, Tensor):
-        raise EngineError("backward expects a Tensor")
+        raise TypeError("backward expects a Tensor")
     if out.value.shape != ():
-        raise EngineError("backward requires a scalar output")
+        raise ValueError("backward requires a scalar output")
 
     order = []
     seen = set()

@@ -1,16 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types; ``cli.main`` maps each to an exit status."""
 
 
 class ConfigError(ValueError):
-    """Invalid configuration value or malformed config document."""
-
-
-class DomainError(ValueError):
-    """Argument outside its mathematical domain (e.g. t not in [0, 1])."""
-
-
-class ShapeError(ValueError):
-    """Mismatched array dimensions."""
+    """Invalid input: a config value, a malformed config document, or a
+    checkpoint that cannot be read or does not fit its config."""
 
 
 class DegenerateTrajectoryError(ValueError):
@@ -29,7 +22,3 @@ class DivergenceError(RuntimeError):
         self.step = step
         self.params = params
         self.history = history
-
-
-class CheckpointError(ValueError):
-    """Malformed or version-incompatible checkpoint/config document."""

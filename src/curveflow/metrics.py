@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .datagen import philox
-from .errors import ConfigError, DegenerateTrajectoryError, ShapeError
+from .errors import ConfigError, DegenerateTrajectoryError
 from .losses import determinant_integral, determinant_profile
 
 MAX_PAIRWISE = 5000  # above this, pairwise sums use a seeded subsample
@@ -54,7 +54,7 @@ def energy_distance(a, b, seed=0):
     a = _points("A", a)
     b = _points("B", b)
     if a.shape[1] != b.shape[1]:
-        raise ShapeError("dimension mismatch: %d vs %d" % (a.shape[1], b.shape[1]))
+        raise ValueError("dimension mismatch: %d vs %d" % (a.shape[1], b.shape[1]))
     rng = philox(seed)
     a = _maybe_subsample(a, rng)
     b = _maybe_subsample(b, rng)
@@ -100,7 +100,7 @@ def curvature(da, db, dda, ddb, x0, eps):
     x0 = np.asarray(x0, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if x0.shape != eps.shape:
-        raise ShapeError("x0 and eps must share a shape, got %s vs %s"
+        raise ValueError("x0 and eps must share a shape, got %s vs %s"
                          % (x0.shape, eps.shape))
     sp2 = (da * da * (x0 @ x0) + 2.0 * da * db * (x0 @ eps)
            + db * db * (eps @ eps))

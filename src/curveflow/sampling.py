@@ -49,7 +49,5 @@ def integrate(velocity, z_start, config):
 
 def sample_batch(model, count, dim, seed, config):
     """Draw seeded Gaussian noise and integrate each point to t=0."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
     eps = sample_noise(count, dim, seed)
     return integrate(model, eps, config)

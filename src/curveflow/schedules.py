@@ -21,7 +21,7 @@ import numpy as np
 
 from .datagen import philox
 from .engine import take, tanh_jet
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 _HALF_PI = 0.5 * np.pi
 
@@ -43,6 +43,21 @@ def sinusoidal_features(t, width):
     freqs = (2.0 ** np.arange(width // 2)) * np.pi
     ang = np.outer(t, freqs)
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+def xavier_layers(rng, prefix, widths, zero_last=False):
+    """An MLP's parameters "<prefix>/w<i>", "<prefix>/b<i>" for the layer
+    widths ``widths``: Xavier-uniform weights, +-sqrt(6/(fan_in+fan_out)),
+    drawn from ``rng`` layer by layer, and zero biases. ``zero_last`` zeroes
+    the output layer's weights instead of drawing them."""
+    params = {}
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        w = (np.zeros((fan_in, fan_out)) if zero_last and i == len(widths) - 2
+             else rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        params["%s/w%d" % (prefix, i)] = w
+        params["%s/b%d" % (prefix, i)] = np.zeros(fan_out)
+    return params
 
 
 def _feature_jets(t, width):
@@ -73,7 +88,7 @@ class DerivativeGrid:
 def _check_domain(t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainError("t must lie in [0, 1]")
+        raise ValueError("t must lie in [0, 1]")
     return t
 
 
@@ -158,21 +173,11 @@ class NeuralSchedule(CoefficientSchedule):
 
     def __init__(self, hidden=64, embed=8, seed=0):
         super().__init__()
-        self.hidden = hidden
         self.embed = embed
         rng = philox(seed)
-        entries = {}
-        for prefix in ("a", "b"):
-            dims = [(embed, hidden), (hidden, hidden), (hidden, 1)]
-            for layer, (fan_in, fan_out) in enumerate(dims):
-                limit = np.sqrt(6.0 / (fan_in + fan_out))
-                if layer == len(dims) - 1:
-                    w = np.zeros((fan_in, fan_out))
-                else:
-                    w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-                entries["%s/w%d" % (prefix, layer)] = w
-                entries["%s/b%d" % (prefix, layer)] = np.zeros(fan_out)
-        self.params = entries
+        widths = (embed, hidden, hidden, 1)
+        self.params = {**xavier_layers(rng, "a", widths, zero_last=True),
+                       **xavier_layers(rng, "b", widths, zero_last=True)}
 
     def residual_term(self, prefix, t, params=None):
         """Jets (r, dr/dt, d^2r/dt^2) of r = t (1 - t) f(t), the part of a/b

@@ -10,34 +10,20 @@ import numpy as np
 from .datagen import philox
 from .engine import concat, silu, value_of
 from .errors import ConfigError
-from .schedules import sinusoidal_features
+from .schedules import sinusoidal_features, xavier_layers
 
 
 class VelocityField:
+    """The MLP v(z, t): Xavier-uniform weights drawn from the Philox stream
+    keyed by ``seed``, zero biases."""
 
-    def __init__(self, dim, hidden=128, time_features=16):
+    def __init__(self, dim, hidden=128, time_features=16, seed=0):
         if dim < 1:
             raise ConfigError("dim must be >= 1")
         self.dim = dim
-        self.hidden = hidden
         self.time_features = time_features
-        self.params = None
-
-    @classmethod
-    def initialize(cls, dim, seed=0, hidden=128, time_features=16):
-        """Xavier-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases."""
-        model = cls(dim, hidden=hidden, time_features=time_features)
-        rng = philox(seed)
-        dims = [(dim + time_features, hidden), (hidden, hidden),
-                (hidden, hidden), (hidden, dim)]
-        entries = {}
-        for layer, (fan_in, fan_out) in enumerate(dims):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            entries["v/w%d" % layer] = rng.uniform(-limit, limit,
-                                                   size=(fan_in, fan_out))
-            entries["v/b%d" % layer] = np.zeros(fan_out)
-        model.params = entries
-        return model
+        widths = (dim + time_features, hidden, hidden, hidden, dim)
+        self.params = xavier_layers(philox(seed), "v", widths)
 
     def __call__(self, z, t, params=None):
         """Velocity at the rows of z, (batch, dim); t is scalar or (batch,)."""

@@ -105,7 +105,7 @@ def test_criterion_5_rectified_flow_reduction():
     def run(schedule):
         cfg = TrainConfig(epochs=2, batch_size=16, lam=0.0, seed=5,
                           train_schedule=False)
-        model = VelocityField.initialize(2, seed=2)
+        model = VelocityField(2, seed=2)
         return train(cfg, data, schedule, model)
 
     ref = run(LinearSchedule())
@@ -154,7 +154,7 @@ def lambda_ablation():
         cfg = TrainConfig(epochs=16, batch_size=16, base_lr=1e-3, lam=lam,
                           seed=0, train_schedule=True)
         schedule = NeuralSchedule(hidden=64, embed=8, seed=0)
-        model = VelocityField.initialize(2, seed=0)
+        model = VelocityField(2, seed=0)
         train(cfg, data, schedule, model)
         integrals[lam] = robust_curvature_loss(schedule, 1.0)
     return integrals, time.time() - start

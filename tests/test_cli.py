@@ -10,8 +10,7 @@ import curveflow
 from curveflow import cli, config
 from curveflow.config import (config_from_dict, config_to_dict,
                               load_checkpoint, save_checkpoint)
-from curveflow.errors import (CheckpointError, ConfigError,
-                              DegenerateTrajectoryError, ShapeError)
+from curveflow.errors import ConfigError, DegenerateTrajectoryError
 
 
 def small_config(**train_overrides):
@@ -47,9 +46,14 @@ def test_train_happy_path(tmp_path):
     assert header == "step,fm_loss,curvature_loss,total,lr"
 
 
-def test_train_invalid_config(tmp_path):
+def test_train_invalid_config(tmp_path, capsys):
     cfg = write_config(tmp_path, small_config(lam=-1.0))
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    # a config path that cannot be read is invalid input too
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["train", "--config", missing,
+                     "--out", str(tmp_path / "x")]) == 2
+    assert "cannot read config %s" % missing in capsys.readouterr().err
 
 
 def test_train_unknown_field_rejected(tmp_path):
@@ -162,22 +166,32 @@ def test_checkpoint_version_mismatch(tmp_path):
     doc["format_version"] = 99
     bad = tmp_path / "wrong_version.json"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError) as exc:
+    with pytest.raises(ConfigError) as exc:
         load_checkpoint(str(bad))
     assert "format_version" in str(exc.value)
 
 
+MISSING = object()  # the field is left out of the checkpoint
+
+
 @pytest.mark.parametrize("field,value", [("step", "many"), ("params", [1, 2]),
                                          ("step", 2.7), ("step", "5"),
-                                         ("step", True)])
+                                         ("step", True),
+                                         ("format_version", MISSING),
+                                         ("params", MISSING)])
 def test_checkpoint_malformed_field(tmp_path, field, value):
     path = _trained_checkpoint(tmp_path)
     doc = json.loads(open(path).read())
-    doc[field] = value
+    if value is MISSING:
+        del doc[field]
+    else:
+        doc[field] = value
     bad = tmp_path / "malformed.json"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ConfigError) as exc:
         load_checkpoint(str(bad))
+    if value is MISSING:
+        assert str(exc.value) == "missing field: %s" % field
     assert cli.main(["sample", "--checkpoint", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
 
@@ -252,7 +266,7 @@ def test_checkpoint_truncated(tmp_path):
     data = open(path).read()[:100]
     bad = tmp_path / "truncated.json"
     bad.write_text(data)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ConfigError):
         load_checkpoint(str(bad))
 
 
@@ -419,7 +433,11 @@ BAD_VALUES = [("train", "epochs", "5"), ("solver", "steps", None),
               ("data", "seed", -3), ("schedule", "seed", -1),
               ("model", "seed", -1), ("train", "seed", -1),
               # keys train never draws (metrics.seed, data.seed + 1) too
-              ("metrics", "seed", -1), ("data", "seed", 2 ** 128 - 1)]
+              ("metrics", "seed", -1), ("data", "seed", 2 ** 128 - 1),
+              ("schedule", "kind", "spline"), ("schedule", "embed", 7),
+              ("model", "time_features", 5), ("metrics", "projections", 0),
+              (None, "format_version", 2), (None, "lambda_grid", [-0.1]),
+              (None, "train", 5)]
 
 
 @pytest.mark.parametrize("section,field,value", BAD_VALUES)
@@ -428,7 +446,10 @@ def test_train_rejects_bad_config_value(tmp_path, capsys, section, field,
     cfg = write_config(tmp_path, _edited_config(section, field, value))
     assert cli.main(["train", "--config", cfg,
                      "--out", str(tmp_path / "x")]) == 2
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: " in err
+    if field == "seed":  # the range check names the key it rejects
+        assert "(%s.seed" % section in err, err
 
 
 def test_config_int_fits_float_field_unconverted():
@@ -448,12 +469,13 @@ def test_analyze_degenerate_schedule_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_program_fault_is_not_invalid_input(tmp_path, monkeypatch):
-    # ShapeError is a ValueError that means a bug; main must not map it to 2
+    # a ValueError that is not a ConfigError means a bug; main must not
+    # map it to 2
     def faulty(schedule, grid, pairs):
-        raise ShapeError("mismatched grid")
+        raise ValueError("mismatched grid")
 
     monkeypatch.setattr(cli.metrics, "schedule_diagnostics", faulty)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="mismatched grid"):
         cli.main(["analyze", "--schedule", "linear",
                   "--out", str(tmp_path / "an")])
 

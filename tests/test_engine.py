@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from curveflow.engine import (EngineError, ParameterSet, Tensor, add, concat,
+from curveflow.engine import (ParameterSet, Tensor, add, backward, concat,
                               divide, evaluate_with_gradients,
                               finite_difference_gradient, matmul,
                               max_relative_error, multiply,
@@ -138,6 +138,9 @@ def test_finite_difference_exact_on_quadratics():
         g = finite_difference_gradient(lambda p: square(p["x"]),
                                        ParameterSet({"x": 3.0}), step=h)
         assert abs(g["x"] - 6.0) < 1e-7
+    with pytest.raises(ValueError, match="step must be positive"):
+        finite_difference_gradient(lambda p: square(p["x"]),
+                                   ParameterSet({"x": 3.0}), step=0)
 
 
 def test_unsupported_primitive_rejected():
@@ -150,6 +153,11 @@ def test_unsupported_primitive_rejected():
         np.square(x)
     with pytest.raises(TypeError):
         x ** 3
+    # backward starts only from a scalar tape node
+    with pytest.raises(TypeError, match="backward expects a Tensor"):
+        backward(np.ones(()))
+    with pytest.raises(ValueError, match="backward requires a scalar output"):
+        backward(x)
 
 
 def test_ndarray_operands_use_reflected_operators():
@@ -197,7 +205,7 @@ def test_matmul_shapes_and_gradients():
     assert err < 1e-4
     a, b, v = Tensor(params["a"]), Tensor(params["b"]), Tensor(np.ones(4))
     for lhs, rhs in ((a, v), (v, b), (v, v)):
-        with pytest.raises(EngineError):
+        with pytest.raises(ValueError, match="matmul takes 2-D operands"):
             lhs @ rhs
 
 
@@ -288,7 +296,7 @@ def test_constant_operands_are_not_parents():
 
 def _neural_loss_tape():
     schedule = random_neural(0)
-    model = VelocityField.initialize(2, seed=0, hidden=8, time_features=8)
+    model = VelocityField(2, seed=0, hidden=8, time_features=8)
     rng = np.random.default_rng(7)
     batch = (rng.standard_normal((4, 2)), rng.standard_normal((4, 2)),
              rng.random(4))

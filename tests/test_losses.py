@@ -104,6 +104,9 @@ def test_fm_loss_empty_batch():
     with pytest.raises(ConfigError):
         curve_fm_loss((np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)),
                       zero_model(), LinearSchedule())
+    with pytest.raises(ConfigError, match="inconsistent batch shapes"):
+        curve_fm_loss((np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2)),
+                      zero_model(), LinearSchedule())
 
 
 def test_determinant_profile_linear_zero():
@@ -180,7 +183,7 @@ def test_total_loss_regularizer_only_case():
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     schedule = random_neural(1, scale=0.2)
-    model = VelocityField.initialize(2, seed=2, hidden=8, time_features=4)
+    model = VelocityField(2, seed=2, hidden=8, time_features=4)
     params = {**model.params, **schedule.params}
     x0 = rng.standard_normal((3, 2))
     eps = rng.standard_normal((3, 2))
@@ -199,7 +202,7 @@ def test_gradients_match_finite_differences():
 def test_fm_loss_nonnegative_random():
     rng = np.random.default_rng(3)
     schedule = random_neural(4)
-    model = VelocityField.initialize(2, seed=5, hidden=8, time_features=4)
+    model = VelocityField(2, seed=5, hidden=8, time_features=4)
     for _ in range(20):
         x0 = rng.standard_normal((4, 2))
         eps = rng.standard_normal((4, 2))

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from curveflow.errors import (ConfigError, DegenerateTrajectoryError,
-                              ShapeError)
+from curveflow import metrics
+from curveflow.datagen import philox
+from curveflow.errors import ConfigError, DegenerateTrajectoryError
 from curveflow.metrics import (energy_distance, schedule_diagnostics,
                                sliced_wasserstein)
 from curveflow.schedules import LinearSchedule, TrigSchedule
@@ -40,10 +41,33 @@ def test_energy_distance_zero_iff_identical_small_sets():
 
 
 def test_energy_distance_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
         energy_distance(np.zeros((3, 2)), np.zeros((3, 3)))
     with pytest.raises(ConfigError):
         energy_distance(np.zeros((0, 2)), np.zeros((3, 2)))
+
+
+def test_energy_distance_subsamples_large_sets(monkeypatch):
+    # above MAX_PAIRWISE points, each set is cut to a seeded subsample:
+    # A's rows first, then B's, from one Philox stream
+    monkeypatch.setattr(metrics, "MAX_PAIRWISE", 50)
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((60, 2))
+    b = rng.standard_normal((60, 2)) + 1.0
+
+    def mean_dist(x, y):
+        return np.linalg.norm(x[:, None] - y[None], axis=2).mean()
+
+    for seed in (0, 3):
+        draws = philox(seed)
+        sa = a[np.sort(draws.choice(60, size=50, replace=False))]
+        sb = b[np.sort(draws.choice(60, size=50, replace=False))]
+        by_hand = (2.0 * mean_dist(sa, sb) - mean_dist(sa, sa)
+                   - mean_dist(sb, sb))
+        got = energy_distance(a, b, seed=seed)
+        assert got == pytest.approx(by_hand, rel=1e-12)
+        assert energy_distance(a, b, seed=seed) == got
+    assert energy_distance(a, b, seed=0) != energy_distance(a, b, seed=3)
 
 
 def test_sliced_wasserstein_identity_and_symmetry():
@@ -76,6 +100,8 @@ def test_sliced_wasserstein_translation_bound():
 def test_sliced_wasserstein_requires_equal_sizes():
     with pytest.raises(ConfigError):
         sliced_wasserstein(np.zeros((3, 2)), np.zeros((4, 2)))
+    with pytest.raises(ConfigError, match="projections must be >= 1"):
+        sliced_wasserstein(np.zeros((3, 2)), np.zeros((3, 2)), projections=0)
 
 
 def test_sliced_wasserstein_seeded():

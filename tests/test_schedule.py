@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curveflow.engine import ParameterSet
-from curveflow.errors import ConfigError, DomainError
+from curveflow.errors import ConfigError
 from curveflow.schedules import (CoefficientSchedule, DerivativeGrid,
                                  LinearSchedule, NeuralSchedule,
                                  PolynomialSchedule, TrigSchedule,
@@ -75,9 +75,9 @@ def test_zero_residual_equals_linear_exactly():
 
 def test_domain_error_outside_unit_interval():
     for sch in (LinearSchedule(), TrigSchedule(), random_neural(1)):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
             sch.a(-0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
             sch.b(1.1)
 
 

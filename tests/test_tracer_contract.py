@@ -34,7 +34,7 @@ def test_fm_target_derivatives_are_traced():
     # so the benchmark's schedules.pointwise_derivatives_ms measures it
     rng = np.random.default_rng(0)
     schedule = NeuralSchedule(hidden=8, embed=8, seed=0)
-    model = VelocityField.initialize(2, seed=1, hidden=8, time_features=4)
+    model = VelocityField(2, seed=1, hidden=8, time_features=4)
     leaves = {n: Tensor(a) for n, a in
               {**model.params, **schedule.params}.items()}
     batch = (rng.standard_normal((4, 2)), rng.standard_normal((4, 2)),

@@ -17,17 +17,12 @@ def small_dataset(seed=0, count=200):
 
 def test_config_validation():
     TrainConfig().validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(epochs=0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(base_lr=0.0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(lam=-0.1).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(timestep_sampler="cosmap").validate()
     TrainConfig(grid_m=4).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(grid_m=3).validate()
+    for bad in (dict(epochs=0), dict(batch_size=0), dict(base_lr=0.0),
+                dict(warmup_steps=0), dict(lam=-0.1),
+                dict(timestep_sampler="cosmap"), dict(grid_m=3)):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad).validate()
 
 
 def test_adamw_first_step_hand_value():
@@ -69,6 +64,8 @@ def test_lr_schedule_values():
     assert lr_at(0, total, cfg) == 0.0
     assert lr_at(100, total, cfg) == 1e-3
     assert lr_at(total, total, cfg) == 0.0
+    # a run no longer than its warmup holds base_lr once warmup ends
+    assert lr_at(100, 50, cfg) == 1e-3
     # continuity at the warmup boundary
     assert abs(lr_at(99, total, cfg) - lr_at(100, total, cfg)) < 2e-5
     # polynomial decay with power 2
@@ -95,7 +92,7 @@ def test_train_deterministic():
     for _ in range(2):
         cfg = TrainConfig(epochs=2, batch_size=16, lam=0.0, seed=4,
                           train_schedule=False)
-        model = VelocityField.initialize(2, seed=0, hidden=16, time_features=4)
+        model = VelocityField(2, seed=0, hidden=16, time_features=4)
         runs.append(train(cfg, data, LinearSchedule(), model))
     r1, r2 = runs
     assert [r.fm_loss for r in r1.history] == [r.fm_loss for r in r2.history]
@@ -107,7 +104,7 @@ def test_history_length_and_finiteness():
     data = small_dataset(count=50)
     cfg = TrainConfig(epochs=3, batch_size=16, lam=0.0, seed=0,
                       train_schedule=False)
-    model = VelocityField.initialize(2, seed=0, hidden=16, time_features=4)
+    model = VelocityField(2, seed=0, hidden=16, time_features=4)
     result = train(cfg, data, LinearSchedule(), model)
     assert len(result.history) == 3 * 4  # ceil(50/16) = 4 steps per epoch
     assert all(np.isfinite(r.total) for r in result.history)
@@ -115,7 +112,7 @@ def test_history_length_and_finiteness():
 
 def test_empty_dataset_rejected():
     cfg = TrainConfig(epochs=1)
-    model = VelocityField.initialize(2, seed=0, hidden=8, time_features=4)
+    model = VelocityField(2, seed=0, hidden=8, time_features=4)
     with pytest.raises(ConfigError):
         train(cfg, np.zeros((0, 2)), LinearSchedule(), model)
 
@@ -133,7 +130,7 @@ def test_zeroed_residual_reduces_to_rectified_flow_bitwise():
     def run(schedule, train_schedule):
         cfg = TrainConfig(epochs=2, batch_size=16, lam=0.0, seed=7,
                           train_schedule=train_schedule)
-        model = VelocityField.initialize(2, seed=1, hidden=16, time_features=4)
+        model = VelocityField(2, seed=1, hidden=16, time_features=4)
         return train(cfg, data, schedule, model)
 
     ref = run(LinearSchedule(), False)
@@ -158,7 +155,7 @@ def test_program_errors_are_not_reported_as_divergence():
     with pytest.raises(TypeError):
         train(cfg, small_dataset(count=16), LinearSchedule(), BrokenModel())
 
-    field = VelocityField.initialize(2, seed=0, hidden=4, time_features=4)
+    field = VelocityField(2, seed=0, hidden=4, time_features=4)
 
     class SineModel:
         params = field.params
@@ -171,8 +168,8 @@ def test_program_errors_are_not_reported_as_divergence():
 
     class NaNModel(BrokenModel):
         def __call__(self, z, t, params=None):
-            return VelocityField.initialize(2, seed=0, hidden=4,
-                                            time_features=4)(z * np.nan, t)
+            return VelocityField(2, seed=0, hidden=4,
+                                 time_features=4)(z * np.nan, t)
 
     with pytest.raises(DivergenceError) as exc:
         train(cfg, small_dataset(count=16), LinearSchedule(), NaNModel())
@@ -190,7 +187,7 @@ def _diverge_at_step_2(monkeypatch, schedule, lam, poison):
     def run(epochs):
         cfg = TrainConfig(epochs=epochs, batch_size=16, lam=lam, grid_m=16,
                           seed=0, train_schedule=lam > 0)
-        model = VelocityField.initialize(2, seed=0, hidden=8, time_features=4)
+        model = VelocityField(2, seed=0, hidden=8, time_features=4)
         return train(cfg, data, schedule(), model)
 
     reference = run(1)
@@ -251,7 +248,7 @@ def test_fm_loss_decreases_smoke():
     data = generate(DatasetSpec("gaussians8", 2000, seed=3))
     cfg = TrainConfig(epochs=1, batch_size=16, lam=0.0, seed=3,
                       train_schedule=False)
-    model = VelocityField.initialize(2, seed=3)
+    model = VelocityField(2, seed=3)
     result = train(cfg, data, LinearSchedule(), model)
     fm = np.array([r.fm_loss for r in result.history[:50]])
     windows = fm.reshape(5, 10).mean(axis=1)
@@ -265,7 +262,7 @@ def test_train_updates_schedule_only_when_enabled():
         before = {n: a.copy() for n, a in schedule.params.items()}
         cfg = TrainConfig(epochs=1, batch_size=16, lam=0.01, grid_m=16,
                           seed=0, train_schedule=flag)
-        model = VelocityField.initialize(2, seed=0, hidden=8, time_features=4)
+        model = VelocityField(2, seed=0, hidden=8, time_features=4)
         train(cfg, data, schedule, model)
         moved = any(not np.array_equal(before[n], schedule.params[n])
                     for n in before)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from curveflow.errors import DegenerateTrajectoryError, ShapeError
+from curveflow.errors import DegenerateTrajectoryError
 from curveflow.metrics import cross_magnitude, curvature
 from curveflow.schedules import (LinearSchedule, TrigSchedule,
                                  pointwise_derivatives)
@@ -97,9 +97,9 @@ def test_degenerate_trajectory_error():
 
 def test_interpolate_shape_mismatch():
     # the interpolant a x0 + b eps needs endpoints of one shape
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="x0 and eps must share a shape"):
         kappa(LinearSchedule(), np.zeros(2), np.zeros(3), 0.5)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="x0 and eps must share a shape"):
         kappa(TrigSchedule(), np.zeros((2, 1)), np.zeros(2), 0.5)
 
 

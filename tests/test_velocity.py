@@ -10,21 +10,21 @@ from curveflow.velocity import VelocityField
 
 def test_output_dimension_matches_input():
     for n in (2, 4, 8):
-        model = VelocityField.initialize(n, seed=0, hidden=16, time_features=4)
+        model = VelocityField(n, seed=0, hidden=16, time_features=4)
         z = np.linspace(-1.0, 1.0, n).reshape(1, n)
         out = model(z, 0.5)
         assert out.shape == (1, n)
 
 
 def test_batched_evaluation_shape():
-    model = VelocityField.initialize(2, seed=0, hidden=16, time_features=4)
+    model = VelocityField(2, seed=0, hidden=16, time_features=4)
     z = np.zeros((5, 2))
     out = model(z, np.full(5, 0.3))
     assert out.shape == (5, 2)
 
 
 def test_forward_deterministic():
-    model = VelocityField.initialize(3, seed=1)
+    model = VelocityField(3, seed=1)
     z = np.array([[0.1, -0.2, 0.4]])
     o1 = model(z, 0.7)
     o2 = model(z, 0.7)
@@ -33,23 +33,23 @@ def test_forward_deterministic():
 
 def test_forward_finite_on_bounded_inputs():
     rng = np.random.default_rng(0)
-    model = VelocityField.initialize(2, seed=2)
+    model = VelocityField(2, seed=2)
     for _ in range(50):
         z = rng.uniform(-10.0, 10.0, size=(1, 2))
         assert np.all(np.isfinite(model(z, rng.random())))
 
 
 def test_initialize_seeding():
-    a = VelocityField.initialize(2, seed=5)
-    b = VelocityField.initialize(2, seed=5)
-    c = VelocityField.initialize(2, seed=6)
+    a = VelocityField(2, seed=5)
+    b = VelocityField(2, seed=5)
+    c = VelocityField(2, seed=6)
     for name in a.params:
         assert np.array_equal(a.params[name], b.params[name])
     assert any(not np.array_equal(a.params[n], c.params[n]) for n in a.params)
 
 
 def test_initialize_layout():
-    model = VelocityField.initialize(3, seed=0, hidden=32, time_features=8)
+    model = VelocityField(3, seed=0, hidden=32, time_features=8)
     assert model.params["v/w0"].shape == (11, 32)
     assert model.params["v/w3"].shape == (32, 3)
     for layer in range(4):
@@ -62,10 +62,13 @@ def test_initialize_layout():
 def test_invalid_dim_rejected():
     with pytest.raises(ConfigError):
         VelocityField(0)
+    # an odd time-embedding width is rejected when the field is first called
+    with pytest.raises(ConfigError, match="embedding width must be even"):
+        VelocityField(2, time_features=5)(np.zeros((1, 2)), 0.5)
 
 
 def test_gradient_matches_finite_differences():
-    model = VelocityField.initialize(2, seed=3, hidden=8, time_features=4)
+    model = VelocityField(2, seed=3, hidden=8, time_features=4)
     z = np.array([[0.3, -0.5]])
 
     def loss(p):
@@ -80,7 +83,7 @@ def test_gradient_matches_finite_differences():
 
 def test_empirical_lipschitz_bound():
     rng = np.random.default_rng(4)
-    model = VelocityField.initialize(2, seed=0)
+    model = VelocityField(2, seed=0)
     delta = 1e-6
     for _ in range(20):
         z = rng.uniform(-5.0, 5.0, size=(1, 2))
