@@ -158,7 +158,8 @@ def cmd_sample(args):
     solver = SolverConfig(
         method=config.solver.method if args.method is None else args.method,
         steps=config.solver.steps if args.steps is None else args.steps)
-    seed = config.metrics.seed if args.seed is None else args.seed
+    seed = (config.metrics.seed if args.seed is None
+            else datagen.check_seed(args.seed, "--seed"))
     # sample_batch validates the count and the solver before any output
     samples = sample_batch(model, args.count, model.dim, seed, solver)
     outdir = args.out
@@ -277,6 +278,8 @@ def gradcheck(seed=0):
 
 
 def cmd_gradcheck(args):
+    datagen.check_seed(args.seed, "--seed")
+    datagen.check_seed(args.seed + 1, "--seed + 1")
     err, worst = gradcheck(seed=args.seed)
     print("max relative error %s (parameter %s)" % (_fmt(err), worst or "-"))
     if err < 1e-4:

@@ -183,7 +183,7 @@ def load_checkpoint(path):
             raise ConfigError("missing field: %s" % fieldname)
     try:
         config = config_from_dict(doc["config"])
-        params = ParameterSet(doc["params"])
+        params = ParameterSet(_typed(doc["params"], dict, "params"))
         step = _typed(doc["step"], int, "step")
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError("malformed checkpoint field: %s" % exc) from exc

@@ -10,15 +10,13 @@ Each primitive is one function that takes Tensors and plain arrays alike.
 Only the Tensor operands enter the tape as parents; constants stay plain
 arrays, so no node is recorded for a value that has no gradient. With no
 Tensor operand a primitive returns a plain ndarray, so the same forward
-code runs on plain arrays (sampling, the diagnostics, the
-finite-difference oracle) and on tape nodes (training). Tensors opt out of
+code runs on plain arrays and on tape nodes (training). Tensors opt out of
 numpy's ufunc protocol (NEP 13), so ``ndarray (op) Tensor`` goes to the
 Tensor's reflected operator and ``np.sin(Tensor)`` raises ``TypeError``
 instead of escaping the tape.
 """
 
 import numpy as np
-from scipy.special import expit
 
 
 def _unbroadcast(grad, shape):
@@ -195,14 +193,21 @@ def tanh_jet(u, bias):
                   lambda g: _unbroadcast(vjp(g)[0], bv.shape)))
 
 
+def sigmoid(x, out):
+    """1 / (1 + exp(-x)) into ``out`` (which may be ``x``), with numpy's SIMD
+    exp; below x = -709, exp(-x) overflows to inf and gives expit's 0."""
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
 def silu(x):
-    """x * sigmoid(x). On a plain array numpy writes the product into
-    expit's unnamed temporary; binding the sigmoid to a name, as the
-    tape's VJP must, takes 1.8 -> 3.9 ms at (2000, 128)."""
+    """x * sigmoid(x)."""
+    xv = value_of(x)
+    s = sigmoid(xv, np.empty_like(xv))
     if not isinstance(x, Tensor):
-        return x * expit(x)
-    xv = x.value
-    s = expit(xv)
+        return np.multiply(s, xv, out=s)
     return Tensor(xv * s, "silu", (x,),
                   (lambda g: g * (s * (1.0 + xv * (1.0 - s))),))
 

@@ -8,7 +8,7 @@ dict with a neural schedule's during training.
 import numpy as np
 
 from .datagen import philox
-from .engine import concat, silu, value_of
+from .engine import Tensor, concat, sigmoid, silu, value_of
 from .errors import ConfigError
 from .schedules import sinusoidal_features, xavier_layers
 
@@ -26,12 +26,20 @@ class VelocityField:
         self.params = xavier_layers(philox(seed), "v", widths)
 
     def __call__(self, z, t, params=None):
-        """Velocity at the rows of z, (batch, dim); t is scalar or (batch,)."""
+        """Velocity at the rows of z, (batch, dim); t is scalar or (batch,).
+        With no Tensor among z and the parameters it runs on plain arrays."""
         p = self.params if params is None else params
         t = np.broadcast_to(np.asarray(t, dtype=float), value_of(z).shape[:1])
-        temb = sinusoidal_features(t, self.time_features)
-        h = concat(z, temb, axis=1)
-        h = silu(h @ p["v/w0"] + p["v/b0"])
-        h = silu(h @ p["v/w1"] + p["v/b1"])
-        h = silu(h @ p["v/w2"] + p["v/b2"])
+        h = concat(z, sinusoidal_features(t, self.time_features), axis=1)
+        if any(isinstance(a, Tensor) for a in (h, *p.values())):
+            for i in range(3):
+                h = silu(h @ p["v/w%d" % i] + p["v/b%d" % i])
+        else:
+            # two buffers: the sigmoid borrows the one the next matmul writes
+            out, spare = np.empty((2, len(h), p["v/w0"].shape[1]))
+            for i in range(3):
+                h = np.matmul(h, p["v/w%d" % i], out=out)
+                h += p["v/b%d" % i]
+                h *= sigmoid(h, spare)
+                out, spare = spare, out
         return h @ p["v/w3"] + p["v/b3"]

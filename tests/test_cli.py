@@ -192,6 +192,10 @@ def test_checkpoint_malformed_field(tmp_path, field, value):
         load_checkpoint(str(bad))
     if value is MISSING:
         assert str(exc.value) == "missing field: %s" % field
+    else:
+        kind = {"step": "int", "params": "dict"}[field]
+        assert str(exc.value) == ("malformed checkpoint field: %s must be of "
+                                  "type %s, got %r" % (field, kind, value))
     assert cli.main(["sample", "--checkpoint", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
 
@@ -496,6 +500,9 @@ def test_seed_flag_out_of_range_exits_2(tmp_path, capsys, command, seed):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: seed must lie in")
+    # train's flag overrides train.seed, and the error names that key
+    assert err[0].endswith("(train.seed)" if command == "train" else
+                           "(--seed)" if seed == "-1" else "(--seed + 1)")
 
 
 def test_console_entry_point_exit_status(tmp_path):

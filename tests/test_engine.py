@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -275,9 +276,24 @@ def test_plain_operands_give_plain_arrays():
                        np.concatenate([x, y[:, :1]], axis=1)),
                       (take(x, slice(1, 3)), x[1:3]),
                       (tanh_jet(u, b), _composed_tanh_jet(u, b)),
-                      (silu(x), x * expit(x)), (square(x), np.square(x))):
+                      (silu(x), x * (1.0 / (1.0 + np.exp(-x)))),
+                      (square(x), np.square(x))):
         assert type(got) is np.ndarray
         assert got.tobytes() == want.tobytes()
+
+
+def test_silu_matches_expit():
+    # numpy's exp differs from scipy's expit by a few ulp; at -800,
+    # exp(800) overflows to inf without a warning and the sigmoid is 0
+    x = np.concatenate([np.linspace(-40.0, 40.0, 80001), [-800.0, 800.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, taped = silu(x), silu(Tensor(x))
+        backward(taped.sum())
+    want = x * expit(x)
+    assert np.all(np.abs(got - want)[:-2] <= 4 * np.spacing(np.abs(want[:-2])))
+    assert got[-2] == 0.0 and got[-1] == 800.0
+    assert taped.value.tobytes() == got.tobytes()
 
 
 def test_constant_operands_are_not_parents():

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from curveflow.engine import (evaluate_with_gradients,
+from curveflow.engine import (Tensor, evaluate_with_gradients,
                               finite_difference_gradient, max_relative_error,
-                              square)
+                              square, value_of)
 from curveflow.errors import ConfigError
 from curveflow.velocity import VelocityField
 
@@ -91,3 +93,43 @@ def test_empirical_lipschitz_bound():
         d = delta * d / np.linalg.norm(d)
         change = np.linalg.norm(model(z + d, 0.5) - model(z, 0.5))
         assert change <= 1e4 * delta
+
+
+@pytest.mark.parametrize("rows", [1, 16, 2000])
+def test_plain_forward_equals_tape_forward(rows):
+    model = VelocityField(2, seed=1)
+    rng = np.random.default_rng(rows)
+    z, t = rng.standard_normal((rows, 2)), rng.random(rows)
+    taped = model(z, t, params={n: Tensor(a) for n, a in model.params.items()})
+    plain = model(z, t)
+    assert isinstance(taped, Tensor) and type(plain) is np.ndarray
+    assert plain.tobytes() == value_of(taped).tobytes()
+
+
+def test_plain_forward_writes_only_its_result():
+    # Heun keeps the first velocity while it computes the second
+    model = VelocityField(2, seed=1)
+    z = np.random.default_rng(0).standard_normal((16, 2))
+    z.flags.writeable = False
+    for a in model.params.values():
+        a.flags.writeable = False
+    first = model(z, 0.5)
+    kept = first.copy()
+    model(z - 0.1 * first, 0.4)
+    assert first.tobytes() == kept.tobytes()
+
+
+def test_plain_forward_peak_memory():
+    # two (rows, hidden) buffers for the hidden layers, not one fresh
+    # array per operation
+    rows, hidden = 2000, 128
+    model = VelocityField(2, hidden=hidden, seed=0)
+    z = np.zeros((rows, 2))
+    model(z, 0.5)
+    tracemalloc.start()
+    try:
+        model(z, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rows * hidden * 8
