@@ -41,7 +41,7 @@ def build_schedule(config):
                          seed=sc.seed)
 
 
-def build_model(config, dim=2):
+def build_model(config, dim):
     mc = config.model
     return VelocityField(dim, hidden=mc.hidden,
                          time_features=mc.time_features, seed=mc.seed)
@@ -139,7 +139,8 @@ def load_run(path):
     model and schedule sections of the checkpoint's config.
     """
     ckpt = load_checkpoint(path)
-    model = build_model(ckpt.config)
+    # the data dim is the output bias's length (a bad one fails the check)
+    model = build_model(ckpt.config, np.size(ckpt.params.get("v/b3", ())) or 2)
     schedule = build_schedule(ckpt.config)
     expected = {**model.params, **schedule.params}
     if ({n: a.shape for n, a in ckpt.params.items()}

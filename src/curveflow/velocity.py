@@ -29,8 +29,10 @@ class VelocityField:
         """Velocity at the rows of z, (batch, dim); t is scalar or (batch,).
         With no Tensor among z and the parameters it runs on plain arrays."""
         p = self.params if params is None else params
-        t = np.broadcast_to(np.asarray(t, dtype=float), value_of(z).shape[:1])
-        h = concat(z, sinusoidal_features(t, self.time_features), axis=1)
+        # a scalar t's features are computed once and broadcast over the rows
+        feats = sinusoidal_features(t, self.time_features)
+        h = concat(z, np.broadcast_to(feats, (len(value_of(z)), feats.shape[1])),
+                   axis=1)
         if any(isinstance(a, Tensor) for a in (h, *p.values())):
             for i in range(3):
                 h = silu(h @ p["v/w%d" % i] + p["v/b%d" % i])

@@ -8,7 +8,7 @@ import pytest
 
 import curveflow
 from curveflow import cli, config
-from curveflow.config import (config_from_dict, config_to_dict,
+from curveflow.config import (Checkpoint, config_from_dict, config_to_dict,
                               load_checkpoint, save_checkpoint)
 from curveflow.errors import ConfigError, DegenerateTrajectoryError
 
@@ -217,6 +217,21 @@ def test_sample_rejects_checkpoint_that_does_not_fit_config(tmp_path, capsys):
                          "--out", str(tmp_path / "x")]) == 2
         assert "do not fit" in capsys.readouterr().err
         assert not (tmp_path / "x" / "samples.csv").exists()
+
+
+def test_load_run_takes_model_dim_from_checkpoint(tmp_path):
+    cfg = config_from_dict(small_config())
+    model = curveflow.VelocityField(3, hidden=16, time_features=4, seed=1)
+    params = {**model.params, **cli.build_schedule(cfg).params}
+    path = str(tmp_path / "three_d.json")
+    save_checkpoint(path, Checkpoint(cfg, params, 0))
+    _, loaded, _ = cli.load_run(path)
+    assert loaded.dim == 3
+    z = np.ones((4, 3))
+    assert np.array_equal(loaded(z, 0.5), model(z, 0.5))
+    samples = curveflow.sample_batch(loaded, 5, loaded.dim, 0,
+                                     curveflow.SolverConfig("heun", 2))
+    assert samples.shape == (5, 3)
 
 
 def test_analyze_rejects_checkpoint_that_does_not_fit_config(tmp_path, capsys):
@@ -524,7 +539,8 @@ def test_train_artifacts_independent_of_blas_threads(tmp_path):
     # uniform nodes, a (64x1001)@(1001x64) product, did, and this failed;
     # over 64 quadrature nodes it passes. Where OpenBLAS splits is its own
     # detail, so this guards the shapes that training multiplies, and the
-    # 2000-row products of sampling.
+    # 2000-row products of sampling. On 2 CPUs, sampling integrates its
+    # two row blocks on 2 threads at BLAS=1 and one after another at BLAS=2.
     doc = small_config(lam=1e-3, grid_m=1000)
     doc["data"]["count"] = 400
     doc["schedule"]["hidden"] = 64

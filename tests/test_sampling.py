@@ -1,8 +1,16 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from curveflow import sampling
+from curveflow.datagen import sample_noise
 from curveflow.errors import ConfigError, DivergenceError
 from curveflow.sampling import SolverConfig, integrate, sample_batch
+from curveflow.velocity import VelocityField
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_solver_config_validation():
@@ -103,7 +111,6 @@ def test_sample_batch_deterministic():
 
 
 def test_sample_batch_zero_field_is_identity():
-    from curveflow.datagen import sample_noise
     model = lambda z, t: np.zeros_like(z)
     out = sample_batch(model, 20, 2, seed=9, config=SolverConfig("euler", 10))
     assert np.array_equal(out, sample_noise(20, 2, 9))
@@ -113,3 +120,86 @@ def test_sample_batch_count_validation():
     model = lambda z, t: np.zeros_like(z)
     with pytest.raises(ConfigError):
         sample_batch(model, 0, 2, seed=0, config=SolverConfig())
+
+
+def _pin_workers(monkeypatch, cpus, blas):
+    """Fake ``cpus`` usable CPUs and BLAS threads; return the pool sizes
+    that sample_batch starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, blas)
+    pools = []
+    pool = sampling.ThreadPoolExecutor
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor",
+                        lambda workers: pools.append(workers) or pool(workers))
+    return pools
+
+
+@pytest.mark.parametrize("cpus, blas, workers",
+                         [(2, "2", 1), (2, "4", 1), (2, "1", 2), (3, "1", 3)])
+def test_blocked_sampling_equals_one_call(monkeypatch, cpus, blas, workers):
+    # blocks start at multiples of 16 rows, so each row gets the bits of
+    # one whole-batch call whatever the worker count
+    pools = _pin_workers(monkeypatch, cpus, blas)
+    model = VelocityField(2, seed=5)
+    config = SolverConfig("heun", 3)
+    for count in (2000, 1999, 1025, 2049):
+        blocked = sample_batch(model, count, 2, seed=4, config=config)
+        whole = integrate(model, sample_noise(count, 2, 4), config)
+        assert blocked.tobytes() == whole.tobytes()
+    assert max(pools, default=1) == workers
+
+
+def _tagged_field(fast_tag, slow_tag):
+    # column 1 is a tag that never moves; the rows tagged fast_tag and
+    # slow_tag grow geometrically until they overflow, the others stay put
+    def field(z, t):
+        rate = np.where(z[:, 1] == fast_tag, 1e100,
+                        np.where(z[:, 1] == slow_tag, 1e20, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.stack([-rate * z[:, 0], np.zeros(len(z))], axis=1)
+    return field
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_blocked_divergence_reports_earliest_step(monkeypatch, cpus):
+    _pin_workers(monkeypatch, cpus, "1")
+    noise = sample_noise(2049, 2, 7)
+    # the last row, in the third block, overflows before the first row
+    field = _tagged_field(noise[-1, 1], noise[0, 1])
+    config = SolverConfig("heun", 50)
+    with pytest.raises(DivergenceError) as whole:
+        integrate(field, noise, config)
+    with pytest.raises(DivergenceError) as blocked:
+        sample_batch(field, 2049, 2, seed=7, config=config)
+    assert blocked.value.step == whole.value.step
+    with pytest.raises(DivergenceError) as slow:
+        integrate(field, noise[:1], config)
+    assert whole.value.step < slow.value.step
+
+
+def test_blocked_sampling_propagates_other_errors(monkeypatch):
+    _pin_workers(monkeypatch, 3, "1")
+    tag = sample_noise(2049, 2, 7)[-1, 1]
+
+    def field(z, t):
+        if np.any(z[:, 1] == tag):
+            raise TypeError("bad block")
+        return np.zeros_like(z)
+
+    with pytest.raises(TypeError, match="bad block"):
+        sample_batch(field, 2049, 2, seed=7, config=SolverConfig("euler", 2))
+
+
+def test_unpinned_blas_starts_no_thread(monkeypatch):
+    # with no BLAS variable set, OpenBLAS's own threads take every CPU
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    model = lambda z, t: np.zeros_like(z)
+    out = sample_batch(model, 2049, 2, seed=1, config=SolverConfig("euler", 2))
+    assert np.array_equal(out, sample_noise(2049, 2, 1))
+    assert started == []
