@@ -139,8 +139,7 @@ def load_run(path):
     model and schedule sections of the checkpoint's config.
     """
     ckpt = load_checkpoint(path)
-    # the data dim is the output bias's length (a bad one fails the check)
-    model = build_model(ckpt.config, np.size(ckpt.params.get("v/b3", ())) or 2)
+    model = build_model(ckpt.config, VelocityField.dim_of(ckpt.params))
     schedule = build_schedule(ckpt.config)
     expected = {**model.params, **schedule.params}
     if ({n: a.shape for n, a in ckpt.params.items()}
@@ -166,10 +165,11 @@ def cmd_sample(args):
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     datagen.export_csv(os.path.join(outdir, "samples.csv"), samples)
-    _, held_out = datagen.generate_split(config.data)
-    svgplot.scatter(os.path.join(outdir, "samples.svg"),
-                    [("held-out", held_out), ("generated", samples)],
-                    title="generated vs held-out")
+    if model.dim >= 2:  # the plot draws the first two coordinates
+        _, held_out = datagen.generate_split(config.data)
+        svgplot.scatter(os.path.join(outdir, "samples.svg"),
+                        [("held-out", held_out), ("generated", samples)],
+                        title="generated vs held-out")
     print("wrote %d samples to %s" % (len(samples), outdir))
     return EXIT_OK
 

@@ -123,8 +123,11 @@ def generate_split(spec):
 
 
 def export_csv(path, points):
+    """One row per point, one column per coordinate: the header is ``x,y``
+    for 2-D points and ``x0,x1,...`` for any other width."""
     points = np.asarray(points, dtype=float)
+    header = ",".join("x%d" % i for i in range(points.shape[1]))
     with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in points:
-            fh.write("%s,%s\n" % (repr(float(x)), repr(float(y))))
+        fh.write(("x,y" if header == "x0,x1" else header) + "\n")
+        for row in points.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")

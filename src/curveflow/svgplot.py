@@ -38,7 +38,7 @@ def _header(title):
 
 
 def scatter(path, groups, title):
-    """groups: list of (label, (n,2) array); overlaid with palette colors."""
+    """groups: list of (label, (n, d >= 2) array); plots columns 0 and 1."""
     arrays = [g[1] for g in groups if len(g[1])]
     parts = _header(title)
     if arrays:
@@ -48,7 +48,7 @@ def scatter(path, groups, title):
             parts.append('<text x="%d" y="%d" font-family="sans-serif" '
                          'font-size="12" fill="%s">%s</text>'
                          % (_PAD + 120 * gi, 40, color, label))
-            for x, y in np.asarray(pts, float):
+            for x, y in np.asarray(pts, float)[:, :2]:
                 px, py = to_px(x, y)
                 parts.append('<circle cx="%.2f" cy="%.2f" r="2" fill="%s" '
                              'fill-opacity="0.6"/>' % (px, py, color))

@@ -1,9 +1,9 @@
 """Training loop: timestep sampling, AdamW, polynomial-warmup LR schedule.
 
-One shared AdamW optimizer updates the velocity field and (unless frozen)
-the schedule's residual networks. All randomness comes from a single
-Philox stream keyed by the config seed, so a rerun with the same config
-reproduces the parameter trajectory bit for bit.
+One AdamW optimizer updates one flat vector of the velocity field's and
+(unless frozen) the schedule's parameters. All randomness comes from a
+single Philox stream keyed by the config seed, so a rerun with the same
+config reproduces the parameter trajectory bit for bit.
 """
 
 import math
@@ -53,14 +53,9 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-
-    @classmethod
-    def init(cls, params):
-        return cls(m={n: np.zeros_like(a) for n, a in params.items()},
-                   v={n: np.zeros_like(a) for n, a in params.items()})
 
 
 def sample_timestep(kind, rng, size):
@@ -75,27 +70,17 @@ def sample_timestep(kind, rng, size):
     return np.clip(t, T_CLAMP, 1.0 - T_CLAMP)
 
 
-def adamw_step(params, grads, state, lr):
-    """Decoupled-weight-decay Adam update of the parameters named in
-    ``grads``; returns a new dict, leaving ``params`` as it was."""
+def adamw_step(theta, grad, state, lr):
+    """Decoupled-weight-decay Adam step; returns a new ``theta`` vector."""
     state.step += 1
-    k = state.step
-    bc1 = 1.0 - BETA1 ** k
-    bc2 = 1.0 - BETA2 ** k
-    out = dict(params)
-    for name, g in grads.items():
-        g = np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient for %r" % name,
-                                  step=state.step)
-        p = out[name]
-        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) \
-            - lr * WEIGHT_DECAY * p
-    return out
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grad
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * grad * grad
+    return theta - lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS) \
+        - lr * WEIGHT_DECAY * theta
 
 
 def lr_at(step, total_steps, config):
@@ -118,12 +103,10 @@ class TrainResult:
 def train(config, dataset, schedule, model):
     """Run the optimization loop; returns TrainResult with per-step history.
 
-    Divergence is checked twice per step: the loss must be finite before
-    ``backward``, and ``adamw_step`` checks every trainable gradient. Either
-    raises DivergenceError carrying the parameters and history from before
-    the failed step; intermediate tape values are not checked. Any other
-    exception from the loss is a fault in the program, not divergence, and
-    propagates unchanged.
+    A non-finite loss, or else the first non-finite gradient in trainable
+    order (the model's names, then the schedule's), raises DivergenceError
+    with the parameters and history from before the step. Any other
+    exception from the loss is a fault in the program and propagates.
     """
     config.validate()
     data = np.atleast_2d(np.asarray(dataset, dtype=float))
@@ -131,12 +114,19 @@ def train(config, dataset, schedule, model):
         raise ConfigError("dataset is empty")
     n, dim = data.shape
 
-    params = {**model.params, **schedule.params}
-    state = OptimizerState.init(params)
-    rng = philox(config.seed)
-
-    trainable = [name for name in params
+    params = initial = {**model.params, **schedule.params}
+    trainable = [name for name in initial
                  if name in model.params or config.train_schedule]
+    cuts = np.cumsum([initial[name].size for name in trainable])[:-1]
+
+    def views(vector):
+        return {name: part.reshape(initial[name].shape)
+                for name, part in zip(trainable, np.split(vector, cuts))}
+
+    theta = np.concatenate([np.zeros(0)]  # a model may have no parameters
+                           + [initial[name].ravel() for name in trainable])
+    state = OptimizerState(np.zeros_like(theta), np.zeros_like(theta))
+    rng = philox(config.seed)
 
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
@@ -152,23 +142,23 @@ def train(config, dataset, schedule, model):
 
             leaves = {name: Tensor(arr) for name, arr in params.items()}
             lr = lr_at(step, total_steps, config)
-            try:
-                fm, reg = total_loss_graph((x0, eps, t), model, schedule,
-                                           config.lam, leaves)
-                loss = fm + reg
-                if not np.isfinite(value_of(loss)):
-                    raise DivergenceError("non-finite loss")
-                backward(loss)
-                grads = {}
-                for name in trainable:
-                    g = leaves[name].grad
-                    grads[name] = np.zeros_like(params[name]) if g is None else g
-                params = adamw_step(params, grads, state, lr)
-            except DivergenceError as exc:
-                # ``params`` is still the pre-step state: the update raised
-                raise DivergenceError("training diverged at step %d: %s"
-                                      % (step, exc), step, params,
-                                      history) from exc
+            fm, reg = total_loss_graph((x0, eps, t), model, schedule,
+                                       config.lam, leaves)
+            loss = fm + reg
+            if not np.isfinite(value_of(loss)):
+                raise DivergenceError("training diverged at step %d: non-finite"
+                                      " loss" % step, step, params, history)
+            backward(loss)
+            grad = np.concatenate([np.zeros(0)] + [leaves[name].grad.ravel()
+                                                   for name in trainable])
+            if not np.all(np.isfinite(grad)):
+                name = next(name for name, g in views(grad).items()
+                            if not np.all(np.isfinite(g)))
+                raise DivergenceError("training diverged at step %d: non-finite"
+                                      " gradient for %r" % (step, name), step,
+                                      params, history)
+            theta = adamw_step(theta, grad, state, lr)
+            params = {**initial, **views(theta)}
 
             fm_val = float(value_of(fm))
             reg_val = float(value_of(reg))

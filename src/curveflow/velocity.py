@@ -25,6 +25,12 @@ class VelocityField:
         widths = (dim + time_features, hidden, hidden, hidden, dim)
         self.params = xavier_layers(philox(seed), "v", widths)
 
+    @staticmethod
+    def dim_of(params):
+        """The data dim ``params`` hold weights for: the output bias's
+        length (2 if it is missing; the shape check then rejects them)."""
+        return np.size(params.get("v/b3", ())) or 2
+
     def __call__(self, z, t, params=None):
         """Velocity at the rows of z, (batch, dim); t is scalar or (batch,).
         With no Tensor among z and the parameters it runs on plain arrays."""

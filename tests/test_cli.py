@@ -219,12 +219,18 @@ def test_sample_rejects_checkpoint_that_does_not_fit_config(tmp_path, capsys):
         assert not (tmp_path / "x" / "samples.csv").exists()
 
 
-def test_load_run_takes_model_dim_from_checkpoint(tmp_path):
+def _hand_saved_checkpoint(tmp_path, dim):
+    """A checkpoint of a velocity field on ``dim``-D points."""
     cfg = config_from_dict(small_config())
-    model = curveflow.VelocityField(3, hidden=16, time_features=4, seed=1)
+    model = curveflow.VelocityField(dim, hidden=16, time_features=4, seed=1)
     params = {**model.params, **cli.build_schedule(cfg).params}
-    path = str(tmp_path / "three_d.json")
+    path = str(tmp_path / ("dim%d.json" % dim))
     save_checkpoint(path, Checkpoint(cfg, params, 0))
+    return path, model
+
+
+def test_load_run_takes_model_dim_from_checkpoint(tmp_path):
+    path, model = _hand_saved_checkpoint(tmp_path, 3)
     _, loaded, _ = cli.load_run(path)
     assert loaded.dim == 3
     z = np.ones((4, 3))
@@ -232,6 +238,19 @@ def test_load_run_takes_model_dim_from_checkpoint(tmp_path):
     samples = curveflow.sample_batch(loaded, 5, loaded.dim, 0,
                                      curveflow.SolverConfig("heun", 2))
     assert samples.shape == (5, 3)
+
+
+@pytest.mark.parametrize("dim,header", [(1, "x0"), (3, "x0,x1,x2")])
+def test_sample_writes_one_column_per_dimension(tmp_path, dim, header):
+    path, _ = _hand_saved_checkpoint(tmp_path, dim)
+    out = tmp_path / "samples"
+    assert cli.main(["sample", "--checkpoint", path, "--count", "5",
+                     "--steps", "2", "--out", str(out)]) == 0
+    lines = (out / "samples.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert [len(line.split(",")) for line in lines[1:]] == [dim] * 5
+    # the plot draws the first two coordinates, so 1-D samples get none
+    assert (out / "samples.svg").exists() == (dim >= 2)
 
 
 def test_analyze_rejects_checkpoint_that_does_not_fit_config(tmp_path, capsys):

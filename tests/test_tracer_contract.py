@@ -17,6 +17,7 @@ from curveflow import losses  # noqa: E402
 from curveflow.engine import Tensor  # noqa: E402
 from curveflow.losses import curve_fm_loss  # noqa: E402
 from curveflow.schedules import NeuralSchedule  # noqa: E402
+from curveflow.training import TrainConfig, train  # noqa: E402
 from curveflow.velocity import VelocityField  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
@@ -64,3 +65,21 @@ def test_regularizer_derivatives_are_traced():
     assert "schedules.grid_derivatives" in names
     assert "schedules.residual_term" in names
     assert tracer.counts["residual_points"] > 0
+
+
+def test_optimizer_and_backward_are_traced():
+    # train calls backward and adamw_step through training's globals, which
+    # the tracer wraps; otherwise training.adamw_ms and engine.backward_ms
+    # read 0
+    data = np.random.default_rng(0).standard_normal((8, 2))
+    cfg = TrainConfig(epochs=2, batch_size=8, lam=0.01, grid_m=16, seed=0)
+    model = VelocityField(2, seed=1, hidden=8, time_features=4)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        train(cfg, data, NeuralSchedule(hidden=8, embed=8, seed=0), model)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("training.adamw_step") == 2
+    assert names.count("engine.backward") == 2

@@ -25,37 +25,68 @@ def test_config_validation():
             TrainConfig(**bad).validate()
 
 
+def fresh_state(size):
+    return OptimizerState(np.zeros(size), np.zeros(size))
+
+
 def test_adamw_first_step_hand_value():
-    params = ParameterSet({"x": 1.0})
-    state = OptimizerState.init(params)
-    out = adamw_step(params, {"x": np.asarray(0.5)}, state, lr=1e-3)
+    out = adamw_step(np.array([1.0]), np.array([0.5]), fresh_state(1),
+                     lr=1e-3)
     # first update: m_hat/(sqrt(v_hat)+eps) ~ 1, plus decoupled decay lr*wd
-    assert abs(out["x"] - 0.99899) < 1e-6
+    assert abs(out[0] - 0.99899) < 1e-6
 
 
 def test_adamw_zero_gradient_geometric_decay():
-    params = ParameterSet({"x": 2.0})
-    state = OptimizerState.init(params)
+    theta = np.array([2.0])
+    state = fresh_state(1)
     lr = 1e-2
     for k in range(1, 6):
-        params = adamw_step(params, {"x": np.asarray(0.0)}, state, lr)
-        assert abs(params["x"] - 2.0 * (1.0 - lr * WEIGHT_DECAY) ** k) < 1e-12
+        theta = adamw_step(theta, np.zeros(1), state, lr)
+        assert abs(theta[0] - 2.0 * (1.0 - lr * WEIGHT_DECAY) ** k) < 1e-12
+    assert state.step == 5
 
 
 def test_adamw_elementwise():
-    params = ParameterSet({"x": np.array([1.0, 1.0]), "y": 1.0})
-    state = OptimizerState.init(params)
-    g = {"x": np.array([0.3, 0.3]), "y": np.asarray(0.3)}
-    out = adamw_step(params, g, state, lr=1e-3)
-    assert out["x"][0] == out["x"][1] == out["y"]
+    out = adamw_step(np.ones(3), np.full(3, 0.3), fresh_state(3), lr=1e-3)
+    assert out[0] == out[1] == out[2]
 
 
-def test_adamw_non_finite_gradient():
-    params = ParameterSet({"x": 1.0})
-    state = OptimizerState.init(params)
-    with pytest.raises(DivergenceError) as exc:
-        adamw_step(params, {"x": np.asarray(np.inf)}, state, lr=1e-3)
-    assert exc.value.step == 1
+def test_adamw_returns_a_new_vector():
+    theta = np.array([1.0, -2.0, 3.0])
+    out = adamw_step(theta, np.array([0.5, 0.0, -1.0]), fresh_state(3),
+                     lr=1e-3)
+    assert out is not theta
+    assert np.array_equal(theta, [1.0, -2.0, 3.0])
+    assert not np.array_equal(out, theta)
+
+
+def test_adamw_flat_update_is_bitwise_the_per_name_update():
+    # the textbook per-name AdamW, one array at a time, against one update
+    # of the concatenated vector: same IEEE operations on every element
+    rng = np.random.default_rng(0)
+    params = {"s": np.asarray(0.7), "b": rng.standard_normal(5),
+              "w": rng.standard_normal((3, 4))}
+    m = {n: np.zeros_like(a) for n, a in params.items()}
+    v = {n: np.zeros_like(a) for n, a in params.items()}
+    theta = np.concatenate([a.ravel() for a in params.values()])
+    state = fresh_state(theta.size)
+    for k in range(1, 6):
+        lr = 1e-2 * k
+        grads = {n: rng.standard_normal(a.shape) * 10.0 ** (k - 3)
+                 for n, a in params.items()}
+        for n, g in grads.items():
+            m[n] = training.BETA1 * m[n] + (1.0 - training.BETA1) * g
+            v[n] = training.BETA2 * v[n] + (1.0 - training.BETA2) * g * g
+            m_hat = m[n] / (1.0 - training.BETA1 ** k)
+            v_hat = v[n] / (1.0 - training.BETA2 ** k)
+            params[n] = params[n] - lr * m_hat / (np.sqrt(v_hat)
+                                                  + training.ADAM_EPS) \
+                - lr * WEIGHT_DECAY * params[n]
+        theta = adamw_step(
+            theta, np.concatenate([g.ravel() for g in grads.values()]),
+            state, lr)
+        expected = np.concatenate([a.ravel() for a in params.values()])
+        assert theta.tobytes() == expected.tobytes()
 
 
 def test_lr_schedule_values():
@@ -240,6 +271,24 @@ def test_nan_gradient_of_finite_loss_diverges(monkeypatch):
                                         nan_gradient)
     assert str(exc) == ("training diverged at step 2: "
                         "non-finite gradient for 'v/b3'")
+    _assert_pre_step_state(exc, reference)
+
+
+def test_first_non_finite_gradient_in_trainable_order_is_named(monkeypatch):
+    # the schedule's leaf is poisoned first, but the model's names come
+    # first in the trainable vector, so its gradient is the one named
+    def nan_gradients(fm, reg, params):
+        for name in ("a/b0", "v/w1"):
+            leaf = params[name]
+            fm = fm + Tensor(0.0, "nan_vjp", (leaf,),
+                             (lambda g, s=leaf.shape: np.full(s, np.nan),))
+        return fm, reg
+
+    exc, reference = _diverge_at_step_2(
+        monkeypatch, lambda: NeuralSchedule(hidden=8, embed=8, seed=0), 0.01,
+        nan_gradients)
+    assert str(exc) == ("training diverged at step 2: "
+                        "non-finite gradient for 'v/w1'")
     _assert_pre_step_state(exc, reference)
 
 
