@@ -22,10 +22,9 @@ paper's unweighted loss. The regularizer is
 
 the 64-node Gauss-Legendre rule (nodes t_i, weights w_i on [0, 1]) for
 lambda times the integral of the squared determinant over [0, 1]; the
-paper takes a Riemann sum. Both terms read the schedule's exact
-derivatives through its one ``derivatives`` method: the data term by
-``pointwise_derivatives`` at the batch's t, the regularizer by
-``grid_derivatives`` at the quadrature nodes.
+paper takes a Riemann sum. A training step reads both terms from one
+``pointwise_derivatives`` call at the batch's t and the quadrature nodes;
+the diagnostics read the nodes alone through ``grid_derivatives``.
 """
 
 from dataclasses import dataclass
@@ -60,25 +59,18 @@ def as_batch(batch):
     return x0, eps, t
 
 
-def curve_fm_loss(batch, model, schedule, params=None):
+def curve_fm_loss(batch, model, dg, params=None):
     """Schedule-weighted mean squared velocity-matching error over the batch.
 
-    Row i is weighted by w_i = ((1 - t_i)^2 + t_i^2) / (a(t_i)^2 + b(t_i)^2)
-    (see the module docstring), so the loss is invariant to rescaling the
-    schedule by a smooth s(t). The weight is computed by true division, so
-    it is exactly 1.0 on the linear schedule and on a zeroed neural one.
-    a, b and the target's first derivatives come from one call to
-    ``pointwise_derivatives``.
-
-    When ``params`` holds engine Tensors the result is a Tensor and
-    gradients flow to the model and, through z_t, the target and the
-    weight, to the schedule.
+    ``dg`` holds the schedule's fields at the batch's t, as a column. Row i
+    carries the row weight of the module docstring, so the loss is invariant
+    to rescaling the schedule by a smooth s(t). The weight is computed by true
+    division, so it is exactly 1.0 on the linear schedule and on a zeroed
+    neural one. With Tensor fields or ``params`` the result is a Tensor;
+    gradients flow to the schedule through z_t, the target and the weight.
     """
     x0, eps, t = as_batch(batch)
-    if params is None:
-        params = {**model.params, **schedule.params}
-    tc = t[:, None]  # the fields come as columns over the batch's rows
-    dg = pointwise_derivatives(schedule, tc, params)
+    tc = t[:, None]
     z = dg.a * x0 + dg.b * eps
     u = dg.da * x0 + dg.db * eps
     v = model(z, t, params)
@@ -86,30 +78,34 @@ def curve_fm_loss(batch, model, schedule, params=None):
     return (square(v - u) * w).sum() * (1.0 / x0.shape[0])
 
 
-def determinant_profile(deriv_grid):
-    """d_i = da_i ddb_i - db_i dda_i at the nodes of ``deriv_grid``."""
-    return (deriv_grid.da * deriv_grid.ddb
-            - deriv_grid.db * deriv_grid.dda)
+def determinant_profile(dg):
+    """d_i = da_i ddb_i - db_i dda_i at the times of the fields ``dg``."""
+    return dg.da * dg.ddb - dg.db * dg.dda
 
 
-def determinant_integral(schedule, params=None):
-    """sum_i w_i d_i^2 at the Gauss-Legendre nodes: the squared determinant
-    integrated over [0, 1]."""
-    d = determinant_profile(grid_derivatives(schedule, params))
-    return (square(d) * quadrature()[1]).sum()
-
-
-def robust_curvature_loss(schedule, lam, params=None):
-    """lambda times the determinant integral at the quadrature nodes."""
+def robust_curvature_loss(dg, lam):
+    """lambda times sum_i w_i d_i^2 from the fields ``dg`` at the Gauss-
+    Legendre nodes, in a row or a column; not read when lambda is 0."""
     if lam < 0:
         raise ConfigError("lambda must be >= 0, got %g" % lam)
     if lam == 0:
         return 0.0
-    return lam * determinant_integral(schedule, params)
+    d = determinant_profile(dg)
+    return lam * (square(d) * quadrature()[1].reshape(d.shape)).sum()
+
+
+def determinant_integral(schedule):
+    """The integral of d(t)^2 over [0, 1]: the regularizer at lambda = 1."""
+    return robust_curvature_loss(grid_derivatives(schedule), 1.0)
 
 
 def total_loss_graph(batch, model, schedule, lam, params):
-    """(fm, regularizer) terms, Tensors when ``params`` holds Tensors."""
-    fm = curve_fm_loss(batch, model, schedule, params=params)
-    reg = robust_curvature_loss(schedule, lam, params=params)
-    return fm, reg
+    """(fm, regularizer) terms, Tensors when ``params`` holds Tensors, from
+    one schedule evaluation at the batch's t and, if lambda > 0, the nodes."""
+    t = as_batch(batch)[2]
+    times = np.concatenate([t, quadrature()[0]]) if lam > 0 else t
+    dg, nodes = pointwise_derivatives(schedule, times[:, None], params), None
+    if lam > 0:  # the batch's rows, then the nodes'
+        dg, nodes = dg.rows(slice(t.size)), dg.rows(slice(t.size, None))
+    return (curve_fm_loss(batch, model, dg, params),
+            robust_curvature_loss(nodes, lam))

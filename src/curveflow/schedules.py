@@ -84,6 +84,10 @@ class DerivativeGrid:
     dda: object
     ddb: object
 
+    def rows(self, index):
+        """The fields' rows ``index``, a basic index, taken on the tape."""
+        return DerivativeGrid(*(take(f, index) for f in vars(self).values()))
+
 
 def _check_domain(t):
     t = np.asarray(t, dtype=float)
@@ -221,10 +225,10 @@ def make_schedule(kind, **kwargs):
 
 
 def pointwise_derivatives(schedule, t, params=None):
-    """DerivativeGrid at the flow-matching target's times t, shaped like t."""
+    """DerivativeGrid at the times t, shaped like t."""
     return schedule.derivatives(t, params)
 
 
-def grid_derivatives(schedule, params=None):
-    """DerivativeGrid at the regularizer's Gauss-Legendre nodes."""
-    return schedule.derivatives(quadrature()[0], params)
+def grid_derivatives(schedule):
+    """DerivativeGrid at the regularizer's Gauss-Legendre nodes alone."""
+    return schedule.derivatives(quadrature()[0])

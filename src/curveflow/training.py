@@ -1,9 +1,9 @@
 """Training loop: timestep sampling, AdamW, polynomial-warmup LR schedule.
 
 One AdamW optimizer updates one flat vector of the velocity field's and
-(unless frozen) the schedule's parameters. All randomness comes from a
-single Philox stream keyed by the config seed, so a rerun with the same
-config reproduces the parameter trajectory bit for bit.
+(unless frozen) the schedule's parameters; only these enter the tape. All
+randomness comes from a single Philox stream keyed by the config seed, so
+a rerun with the same config reproduces the parameter trajectory bit for bit.
 """
 
 import math
@@ -140,10 +140,10 @@ def train(config, dataset, schedule, model):
             eps = rng.standard_normal((len(idx), dim))
             t = sample_timestep(config.timestep_sampler, rng, size=len(idx))
 
-            leaves = {name: Tensor(arr) for name, arr in params.items()}
+            leaves = {name: Tensor(params[name]) for name in trainable}
             lr = lr_at(step, total_steps, config)
             fm, reg = total_loss_graph((x0, eps, t), model, schedule,
-                                       config.lam, leaves)
+                                       config.lam, {**params, **leaves})
             loss = fm + reg
             if not np.isfinite(value_of(loss)):
                 raise DivergenceError("training diverged at step %d: non-finite"

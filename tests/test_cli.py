@@ -556,7 +556,8 @@ def test_train_artifacts_independent_of_blas_threads(tmp_path):
     # OpenBLAS may split a long contraction across threads and sum the
     # parts in another order. The regularizer's weight gradient over 1001
     # uniform nodes, a (64x1001)@(1001x64) product, did, and this failed;
-    # over 64 quadrature nodes it passes. Where OpenBLAS splits is its own
+    # over the batch's 16 rows and 64 quadrature nodes, 3 jet rows each
+    # ((64x240)@(240x64)), it passes. Where OpenBLAS splits is its own
     # detail, so this guards the shapes that training multiplies, and the
     # 2000-row products of sampling. On 2 CPUs, sampling integrates its
     # two row blocks on 2 threads at BLAS=1 and one after another at BLAS=2.

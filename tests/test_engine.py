@@ -11,6 +11,7 @@ from curveflow.engine import (ParameterSet, Tensor, add, backward, concat,
                               max_relative_error, multiply,
                               silu, square, take, tanh_jet)
 from curveflow.losses import total_loss_graph
+from curveflow.schedules import NeuralSchedule
 from curveflow.velocity import VelocityField
 from test_schedule import random_neural
 
@@ -332,7 +333,24 @@ def test_training_tape_holds_no_constants():
 
 
 def test_neural_schedule_records_one_node_per_tanh_layer():
-    # 2 hidden layers x 2 residual nets x {FM target, regularizer}
+    # 2 hidden layers x 2 residual nets: one schedule evaluation serves the
+    # FM target and the regularizer
     ops = [node.op for node in _neural_loss_tape()[0]]
-    assert ops.count("tanh_jet") == 8
+    assert ops.count("tanh_jet") == 4
     assert "tanh" not in ops
+
+
+@pytest.mark.parametrize("lam,nodes", [(1e-3, 109), (0.0, 81)])
+def test_full_size_curveflow_step_tape_nodes(lam, nodes):
+    # the benchmark's curveflow sizes: batch 16, velocity MLP 128 wide,
+    # residual nets 64 wide; a structural change to the step moves this
+    # count (engine.tape_nodes in a traced run)
+    schedule = NeuralSchedule(hidden=64, embed=8, seed=0)
+    model = VelocityField(2, hidden=128, time_features=16, seed=0)
+    rng = np.random.default_rng(0)
+    batch = (rng.standard_normal((16, 2)), rng.standard_normal((16, 2)),
+             rng.random(16))
+    leaves = {n: Tensor(a) for n, a in
+              {**model.params, **schedule.params}.items()}
+    fm, reg = total_loss_graph(batch, model, schedule, lam, leaves)
+    assert len(_walk(fm + reg)) == nodes

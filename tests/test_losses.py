@@ -9,7 +9,7 @@ from curveflow.losses import (curve_fm_loss, determinant_profile,
                               robust_curvature_loss, total_loss_graph)
 from curveflow.schedules import (LinearSchedule, NeuralSchedule,
                                  PolynomialSchedule, TrigSchedule,
-                                 grid_derivatives)
+                                 grid_derivatives, quadrature)
 from curveflow.velocity import VelocityField
 from test_schedule import CustomSchedule, quadratic_stub, random_neural
 
@@ -32,22 +32,28 @@ def zero_model():
     return OracleModel(lambda z, t: np.zeros_like(z))
 
 
+def fm_loss(batch, model, schedule):
+    """curve_fm_loss on the schedule's fields at the batch's t, a column."""
+    t = np.atleast_1d(np.asarray(batch[2], dtype=float))
+    return curve_fm_loss(batch, model, schedule.derivatives(t[:, None]))
+
+
 def test_fm_loss_zero_for_perfect_model():
     lin = LinearSchedule()
     x0 = np.array([[1.0, 0.0], [0.3, -0.2]])
     eps = np.array([[0.0, 1.0], [1.0, 0.5]])
     t = np.array([0.2, 0.7])
     perfect = OracleModel(lambda z, tt: eps - x0)
-    assert curve_fm_loss((x0, eps, t), perfect, lin) == 0.0
+    assert fm_loss((x0, eps, t), perfect, lin) == 0.0
 
 
 def test_fm_loss_direct_value():
     lin = LinearSchedule()
     batch = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([0.4]))
-    assert curve_fm_loss(batch, zero_model(), lin) == 2.0
+    assert fm_loss(batch, zero_model(), lin) == 2.0
     # mean reduction: two identical samples give the same value
     batch2 = tuple(np.concatenate([part, part]) for part in batch)
-    assert curve_fm_loss(batch2, zero_model(), lin) == 2.0
+    assert fm_loss(batch2, zero_model(), lin) == 2.0
 
 
 def test_fm_loss_invariant_to_schedule_scale():
@@ -82,8 +88,8 @@ def test_fm_loss_invariant_to_schedule_scale():
                             lambda tt: ds(tt) * tt + s(tt),
                             lambda tt: dds(tt) * (1.0 - tt) - 2.0 * ds(tt),
                             lambda tt: dds(tt) * tt + 2.0 * ds(tt))
-    plain = curve_fm_loss((x0, eps, t), OracleModel(field), LinearSchedule())
-    rescaled = curve_fm_loss((x0, eps, t), OracleModel(scaled_field), scaled)
+    plain = fm_loss((x0, eps, t), OracleModel(field), LinearSchedule())
+    rescaled = fm_loss((x0, eps, t), OracleModel(scaled_field), scaled)
     assert plain > 1.0
     assert abs(rescaled - plain) < 1e-8 * plain
 
@@ -96,17 +102,17 @@ def test_fm_loss_weight_exactly_one_on_linear_schedule():
     lin = LinearSchedule()
     for t in np.arange(1, 200) / 200:
         x0, eps = rng.standard_normal((2, 1, 2))
-        assert curve_fm_loss((x0, eps, np.array([t])), zero_model(), lin) \
+        assert fm_loss((x0, eps, np.array([t])), zero_model(), lin) \
             == np.square(eps - x0).sum(), t
 
 
 def test_fm_loss_empty_batch():
     with pytest.raises(ConfigError):
-        curve_fm_loss((np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)),
-                      zero_model(), LinearSchedule())
+        fm_loss((np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)),
+                zero_model(), LinearSchedule())
     with pytest.raises(ConfigError, match="inconsistent batch shapes"):
-        curve_fm_loss((np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2)),
-                      zero_model(), LinearSchedule())
+        fm_loss((np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2)),
+                zero_model(), LinearSchedule())
 
 
 def test_determinant_profile_linear_zero():
@@ -126,30 +132,33 @@ def test_determinant_profile_polynomial_stub():
 
 
 def test_robust_curvature_loss_values():
-    assert robust_curvature_loss(LinearSchedule(), 1.0) == 0.0
+    def reg(schedule, lam):
+        return robust_curvature_loss(grid_derivatives(schedule), lam)
+
+    assert reg(LinearSchedule(), 1.0) == 0.0
     zeroed = NeuralSchedule(hidden=16, embed=8, seed=0)
-    assert robust_curvature_loss(zeroed, 1.0) == 0.0
-    trig = robust_curvature_loss(TrigSchedule(), 1.0)
+    assert reg(zeroed, 1.0) == 0.0
+    trig = reg(TrigSchedule(), 1.0)
     assert abs(trig - HALF_PI ** 6) / HALF_PI ** 6 < 0.01
-    assert robust_curvature_loss(TrigSchedule(), 0.0) == 0.0
+    assert reg(TrigSchedule(), 0.0) == 0.0
     with pytest.raises(ConfigError):
-        robust_curvature_loss(TrigSchedule(), -0.5)
+        reg(TrigSchedule(), -0.5)
 
 
 def test_robust_curvature_loss_linear_in_lambda():
     sch = random_neural(0)
-    l1 = robust_curvature_loss(sch, 0.3)
-    l2 = robust_curvature_loss(sch, 0.6)
+    l1 = robust_curvature_loss(grid_derivatives(sch), 0.3)
+    l2 = robust_curvature_loss(grid_derivatives(sch), 0.6)
     assert l2 == 2.0 * l1
 
 
 def test_regularizer_converges_to_integral():
     # the Gauss-Legendre rule integrates a constant determinant exactly
     exact = HALF_PI ** 6
-    reg = robust_curvature_loss(TrigSchedule(), 1.0)
+    reg = robust_curvature_loss(grid_derivatives(TrigSchedule()), 1.0)
     assert abs(reg - exact) <= 1e-12 * exact
-    assert abs(robust_curvature_loss(PolynomialSchedule(), 1.0)
-               - 16.0) <= 1e-12 * 16.0
+    reg = robust_curvature_loss(grid_derivatives(PolynomialSchedule()), 1.0)
+    assert abs(reg - 16.0) <= 1e-12 * 16.0
 
 
 def test_total_loss_report():
@@ -180,6 +189,60 @@ def test_total_loss_regularizer_only_case():
     assert abs(fm + reg - HALF_PI ** 6) / HALF_PI ** 6 < 0.01
 
 
+def _neural_batch(seed, n=16):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+            np.clip(rng.random(n), 1e-5, 1.0 - 1e-5))
+
+
+@pytest.mark.parametrize("lam,rows", [(0.05, 16 + 64), (0.0, 16)])
+def test_total_loss_evaluates_the_schedule_once(monkeypatch, lam, rows):
+    schedule = random_neural(2)
+    model = VelocityField(2, seed=3, hidden=8, time_features=4)
+    sizes = []
+    original = schedule.derivatives
+
+    def counting(t, params=None):
+        sizes.append(np.size(t))
+        return original(t, params)
+
+    monkeypatch.setattr(schedule, "derivatives", counting)
+    total_loss_graph(_neural_batch(4), model, schedule, lam, None)
+    assert sizes == [rows]
+
+
+def test_one_evaluation_matches_two_call_oracle():
+    # the oracle reads the schedule twice, at the batch's t and at the
+    # nodes; one evaluation over both changes only the order in which the
+    # weight gradients sum their rows
+    schedule = random_neural(5)
+    model = VelocityField(2, seed=6, hidden=16, time_features=8)
+    params = {**model.params, **schedule.params}
+    batch = _neural_batch(7)
+    t, lam = batch[2], 0.05
+
+    def oracle(p):
+        fm = curve_fm_loss(batch, model, schedule.derivatives(t[:, None], p),
+                           p)
+        reg = robust_curvature_loss(
+            schedule.derivatives(quadrature()[0], p), lam)
+        return fm, reg
+
+    for p in (params, None):
+        got, want = total_loss_graph(batch, model, schedule, lam, p), oracle(p)
+        for g, w in zip(got, want):
+            assert abs(value_of(g) - value_of(w)) <= 1e-14 * abs(value_of(w))
+
+    _, g_one = evaluate_with_gradients(
+        lambda p: sum(total_loss_graph(batch, model, schedule, lam, p)),
+        params)
+    _, g_two = evaluate_with_gradients(lambda p: sum(oracle(p)), params)
+    for name, want in g_two.items():
+        scale = np.max(np.abs(want))
+        assert scale > 0.0, name
+        assert np.max(np.abs(g_one[name] - want)) <= 1e-10 * scale, name
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     schedule = random_neural(1, scale=0.2)
@@ -207,5 +270,5 @@ def test_fm_loss_nonnegative_random():
         x0 = rng.standard_normal((4, 2))
         eps = rng.standard_normal((4, 2))
         t = np.clip(rng.random(4), 1e-3, 1 - 1e-3)
-        assert curve_fm_loss((x0, eps, t), model, schedule) >= 0.0
+        assert fm_loss((x0, eps, t), model, schedule) >= 0.0
 

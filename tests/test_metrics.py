@@ -9,7 +9,8 @@ from curveflow.errors import ConfigError, DegenerateTrajectoryError
 from curveflow.metrics import (energy_distance, schedule_diagnostics,
                                sliced_wasserstein)
 from curveflow.schedules import LinearSchedule, TrigSchedule
-from curveflow.losses import robust_curvature_loss
+from curveflow.losses import total_loss_graph
+from curveflow.velocity import VelocityField
 
 HALF_PI = np.pi / 2
 
@@ -129,9 +130,13 @@ def test_diagnostics_trig_closed_forms():
 
 
 def test_determinant_integral_matches_regularizer():
+    # the diagnostics read the nodes alone; a training step reads them
+    # after the batch's t in one evaluation
     report = schedule_diagnostics(TrigSchedule(), 500, [])
+    batch = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([0.4]))
+    model = VelocityField(2, seed=0, hidden=8, time_features=4)
     for lam in (0.3, 1.0, 2.5):
-        loss = robust_curvature_loss(TrigSchedule(), lam)
+        loss = total_loss_graph(batch, model, TrigSchedule(), lam, None)[1]
         assert abs(report.determinant_integral - loss / lam) < 1e-12 * loss / lam
 
 

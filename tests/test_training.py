@@ -9,6 +9,7 @@ from curveflow.schedules import LinearSchedule, NeuralSchedule
 from curveflow.training import (WEIGHT_DECAY, OptimizerState, TrainConfig,
                                 adamw_step, lr_at, sample_timestep, train)
 from curveflow.velocity import VelocityField
+from test_engine import _walk
 
 
 def small_dataset(seed=0, count=200):
@@ -302,6 +303,41 @@ def test_fm_loss_decreases_smoke():
     fm = np.array([r.fm_loss for r in result.history[:50]])
     windows = fm.reshape(5, 10).mean(axis=1)
     assert np.all(np.diff(windows) <= 0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_frozen_schedule_stays_off_the_tape(monkeypatch, lam):
+    # no update reads a frozen schedule's gradients, so its arrays enter
+    # the loss plain: the graph handed to backward holds the model's leaves
+    # alone and no jet layer of the residual nets
+    rng = np.random.default_rng(0)
+    schedule = NeuralSchedule(hidden=8, embed=8, seed=0)
+    schedule.params = {n: a + 0.1 * rng.standard_normal(a.shape)
+                       for n, a in schedule.params.items()}
+    model = VelocityField(2, seed=0, hidden=8, time_features=4)
+    handed = []
+    real_loss, real_backward = training.total_loss_graph, training.backward
+
+    def loss_graph(batch, model, schedule, lam, params):
+        handed.append(params)
+        return real_loss(batch, model, schedule, lam, params)
+
+    def backward(loss):
+        handed.append(loss)
+        real_backward(loss)
+
+    monkeypatch.setattr(training, "total_loss_graph", loss_graph)
+    monkeypatch.setattr(training, "backward", backward)
+    cfg = TrainConfig(epochs=1, batch_size=16, lam=lam, grid_m=16, seed=0,
+                      train_schedule=False)
+    train(cfg, small_dataset(count=32), schedule, model)
+    assert len(handed) == 4
+    for params, loss in zip(handed[::2], handed[1::2]):
+        assert not any(isinstance(params[n], Tensor) for n in schedule.params)
+        nodes = _walk(loss)
+        assert {id(n) for n in nodes if not n._parents} \
+            == {id(params[n]) for n in model.params}
+        assert "tanh_jet" not in {n.op for n in nodes}
 
 
 def test_train_updates_schedule_only_when_enabled():
