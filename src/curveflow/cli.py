@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 check failure, 2 invalid input, 3 runtime
 divergence. All artifacts are text (JSON, CSV, SVG) and deterministic
-given config and seed, except the run-manifest timestamp.
+given config and seed, except the run manifest's timestamp and environment.
 """
 
 import argparse
 import copy
 import json
 import os
+import platform
 import sys
 import time
 
@@ -20,7 +21,7 @@ from .config import (Checkpoint, ExperimentConfig, config_to_dict,
 from .engine import (evaluate_with_gradients, finite_difference_gradient,
                      max_relative_error)
 from .errors import ConfigError, DegenerateTrajectoryError, DivergenceError
-from .sampling import SolverConfig, sample_batch
+from .sampling import BLAS_VARS, SolverConfig, sample_batch
 from .schedules import NeuralSchedule, make_schedule
 from .training import train
 from .velocity import VelocityField
@@ -57,10 +58,17 @@ def write_history_csv(path, history):
 
 
 def _write_manifest(path, config, steps):
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError, ValueError):
+        blas = {}
     doc = {"config": config_to_dict(config),
            "seed": config.train.seed,
            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-           "steps": steps}
+           "steps": steps,
+           "python": platform.python_version(), "numpy": np.__version__,
+           "blas": {k: blas.get(k) for k in ("name", "version")},
+           "blas_threads": {v: os.environ.get(v) for v in BLAS_VARS}}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

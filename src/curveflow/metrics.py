@@ -15,7 +15,6 @@ Lagrange identity.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .datagen import philox
 from .errors import ConfigError, DegenerateTrajectoryError
@@ -51,6 +50,7 @@ def _maybe_subsample(arr, rng):
 
 def energy_distance(a, b, seed=0):
     """2 E||a-b|| - E||a-a'|| - E||b-b'||, clamped at zero."""
+    from scipy.spatial.distance import cdist  # scipy loads on first use only
     a = _points("A", a)
     b = _points("B", b)
     if a.shape[1] != b.shape[1]:

@@ -9,6 +9,8 @@ import numpy as np
 from .datagen import sample_noise
 from .errors import ConfigError, DivergenceError
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 @dataclass
 class SolverConfig:
@@ -26,22 +28,23 @@ class SolverConfig:
 def integrate(velocity, z_start, config):
     """Integrate t: 1 -> 0 with Euler or Heun (trapezoidal) steps.
 
-    ``velocity`` is any callable (z, t) -> dz/dt; z may be a single point
-    or a batch (rows are integrated independently).
+    ``velocity`` is any callable (z, t) -> dz/dt, read only at t = j/n;
+    z may be a single point or a batch (rows are integrated independently).
     """
     config.validate()
     z = np.array(z_start, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ConfigError("z_start must be finite")
-    h = 1.0 / config.steps
-    for k in range(config.steps):
-        t = 1.0 - k * h
+    n = config.steps
+    h = 1.0 / n
+    for k in range(n):
+        t = (n - k) / n
         v1 = np.asarray(velocity(z, t), dtype=float)
         z_next = z - h * v1
         # Heun's corrector needs a finite predictor; an overflowed one is
         # reported below as divergence, like an overflowed step
         if config.method == "heun" and np.all(np.isfinite(z_next)):
-            v2 = np.asarray(velocity(z_next, t - h), dtype=float)
+            v2 = np.asarray(velocity(z_next, (n - k - 1) / n), dtype=float)
             z_next = z - 0.5 * h * (v1 + v2)
         z = z_next
         if not np.all(np.isfinite(z)):
@@ -57,8 +60,7 @@ def sample_batch(model, count, dim, seed, config):
     eps = sample_noise(count, dim, seed)
     blocks = -(-count // 1024)
     cuts = [16 * (count * i // blocks // 16) for i in range(blocks)] + [count]
-    blas = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS",
-                 "OMP_NUM_THREADS", "MKL_NUM_THREADS") if v in os.environ), "")
+    blas = next((os.environ[v] for v in BLAS_VARS if v in os.environ), "")
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     blas = int(blas) if blas.isdigit() and int(blas) > 0 else cpus

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from curveflow import cli, config
 from curveflow.config import (Checkpoint, config_from_dict, config_to_dict,
                               load_checkpoint, save_checkpoint)
 from curveflow.errors import ConfigError, DegenerateTrajectoryError
+from curveflow.sampling import BLAS_VARS
 
 
 def small_config(**train_overrides):
@@ -539,13 +541,19 @@ def test_seed_flag_out_of_range_exits_2(tmp_path, capsys, command, seed):
                            "(--seed)" if seed == "-1" else "(--seed + 1)")
 
 
-def test_console_entry_point_exit_status(tmp_path):
-    cfg = write_config(tmp_path, _edited_config("train", "epochs", "5"))
+def _fresh_env():
+    """This process's environment, with curveflow importable by a fresh
+    interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(curveflow.__file__))
+    return env
+
+
+def test_console_entry_point_exit_status(tmp_path):
+    cfg = write_config(tmp_path, _edited_config("train", "epochs", "5"))
     proc = subprocess.run([sys.executable, "-m", "curveflow.cli", "train",
                            "--config", cfg, "--out", str(tmp_path / "x")],
-                          env=env, capture_output=True, text=True,
+                          env=_fresh_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 2
     assert "error: train.epochs" in proc.stderr
@@ -566,12 +574,10 @@ def test_train_artifacts_independent_of_blas_threads(tmp_path):
     doc["schedule"]["hidden"] = 64
     doc["model"] = {"hidden": 128, "time_features": 16, "seed": 0}
     cfg = write_config(tmp_path, doc)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(curveflow.__file__))
+    env = _fresh_env()
     artifacts = []
     for threads in ("1", "2"):
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
+        for var in BLAS_VARS:
             env[var] = threads
         out = tmp_path / ("threads" + threads)
         for argv in (["train", "--config", cfg, "--out", str(out)],
@@ -584,3 +590,59 @@ def test_train_artifacts_independent_of_blas_threads(tmp_path):
         artifacts.append([(out / name).read_bytes() for name in
                           ("history.csv", "checkpoint.json", "samples.csv")])
     assert artifacts[0] == artifacts[1]
+
+
+COLD_START = """
+import json, sys
+from curveflow import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+cfg, out = sys.argv[1:]
+ckpt = out + "/run/checkpoint.json"
+loaded = [scipy_modules()]
+for argv in (["train", "--config", cfg, "--out", out + "/run"],
+             ["sample", "--checkpoint", ckpt, "--count", "20",
+              "--out", out + "/sample"],
+             ["analyze", "--checkpoint", ckpt, "--out", out + "/analyze"],
+             ["compare", "--config", cfg, "--out", out + "/compare"]):
+    assert cli.main(argv) == 0, argv
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_is_loaded_only_by_a_distance(tmp_path):
+    # importing scipy.spatial costs a fresh command more than numpy and
+    # curveflow together; only energy_distance, so only compare, needs it
+    cfg = write_config(tmp_path, small_config())
+    proc = subprocess.run([sys.executable, "-c", COLD_START, cfg,
+                           str(tmp_path)], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *cold, after_compare = json.loads(proc.stdout.splitlines()[-1])
+    assert cold == [[]] * 4  # import, train, sample, analyze
+    assert "scipy.spatial.distance" in after_compare
+
+
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = write_config(tmp_path, small_config())
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "run_manifest.json").read_text())
+    assert doc["python"] == platform.python_version()
+    assert doc["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert doc["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert doc["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "3",
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "MKL_NUM_THREADS": None}
+    # a numpy that reports no BLAS still writes the manifest
+    monkeypatch.setattr(np, "show_config", lambda mode: {})
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "run_manifest.json").read_text())
+    assert doc["blas"] == {"name": None, "version": None}

@@ -7,10 +7,9 @@ import pytest
 from curveflow import sampling
 from curveflow.datagen import sample_noise
 from curveflow.errors import ConfigError, DivergenceError
-from curveflow.sampling import SolverConfig, integrate, sample_batch
+from curveflow.sampling import BLAS_VARS, SolverConfig, integrate, sample_batch
+from curveflow.schedules import LinearSchedule
 from curveflow.velocity import VelocityField
-
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_solver_config_validation():
@@ -68,6 +67,28 @@ def test_halving_step_halves_euler_quarters_heun():
 
     assert err("euler", 64) / err("euler", 128) == pytest.approx(2.0, rel=0.1)
     assert err("heun", 64) / err("heun", 128) == pytest.approx(4.0, rel=0.1)
+
+
+@pytest.mark.parametrize("method", ["euler", "heun"])
+def test_solver_times_are_exact(method):
+    # the times 1 - k h, and the corrector's 1 - k h - h, would fall a few
+    # ulp below 0 at the last step for 484 of these step counts
+    for n in range(1, 1001):
+        times = []
+        integrate(lambda z, t: times.append(t) or 0.0, np.zeros(1),
+                  SolverConfig(method, n))
+        assert all(0.0 <= t <= 1.0 for t in times), n
+        assert times[0] == 1.0
+        assert times[-1] == (0.0 if method == "heun" else 1 / n)
+
+
+def test_schedule_aware_field_integrates():
+    # a schedule's derivatives reject t outside [0, 1]
+    schedule = LinearSchedule()
+    field = lambda z, t: schedule.derivatives(t).da * z
+    # dz/dt = -z from t = 1 to 0 gives z0 * e
+    z = integrate(field, np.array([1.0]), SolverConfig("heun", 5))
+    assert z[0] == pytest.approx(np.e, rel=0.01)
 
 
 def test_batch_rows_integrated_independently():
