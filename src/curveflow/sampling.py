@@ -1,7 +1,6 @@
 """Generation: integrate dz/dt = v(z, t) from noise (t=1) down to data (t=0)."""
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +71,7 @@ def sample_batch(model, count, dim, seed, config):
         except DivergenceError as exc:  # raised below at the earliest step
             return exc
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads with a pool
         with ThreadPoolExecutor(workers) as pool:
             parts = list(pool.map(run, cuts, cuts[1:]))
     else:

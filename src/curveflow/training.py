@@ -56,6 +56,10 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: np.ndarray = field(init=False, repr=False)  # two rows like m
+
+    def __post_init__(self):
+        self.scratch = np.empty((2,) + self.m.shape)
 
 
 def sample_timestep(kind, rng, size):
@@ -71,16 +75,31 @@ def sample_timestep(kind, rng, size):
 
 
 def adamw_step(theta, grad, state, lr):
-    """Decoupled-weight-decay Adam step; returns a new ``theta`` vector."""
+    """Decoupled-weight-decay Adam step on ``theta`` in place; returns it.
+
+    The temporaries live in ``state.scratch``, and every element sees the
+    operations of theta - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    - lr * wd * theta in that order, so the bits match that expression.
+    """
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
+    update, work = state.scratch
     state.m *= BETA1
-    state.m += (1.0 - BETA1) * grad
+    state.m += np.multiply(1.0 - BETA1, grad, out=work)
     state.v *= BETA2
-    state.v += (1.0 - BETA2) * grad * grad
-    return theta - lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS) \
-        - lr * WEIGHT_DECAY * theta
+    np.multiply(1.0 - BETA2, grad, out=work)
+    state.v += np.multiply(work, grad, out=work)
+    np.divide(state.m, bc1, out=update)
+    update *= lr
+    np.divide(state.v, bc2, out=work)
+    np.sqrt(work, out=work)
+    work += ADAM_EPS
+    update /= work
+    np.multiply(lr * WEIGHT_DECAY, theta, out=work)  # decay of the old theta
+    theta -= update
+    theta -= work
+    return theta
 
 
 def lr_at(step, total_steps, config):
@@ -114,7 +133,7 @@ def train(config, dataset, schedule, model):
         raise ConfigError("dataset is empty")
     n, dim = data.shape
 
-    params = initial = {**model.params, **schedule.params}
+    initial = {**model.params, **schedule.params}
     trainable = [name for name in initial
                  if name in model.params or config.train_schedule]
     cuts = np.cumsum([initial[name].size for name in trainable])[:-1]
@@ -123,8 +142,11 @@ def train(config, dataset, schedule, model):
         return {name: part.reshape(initial[name].shape)
                 for name, part in zip(trainable, np.split(vector, cuts))}
 
+    # the one vector AdamW updates in place; params holds views into it
     theta = np.concatenate([np.zeros(0)]  # a model may have no parameters
                            + [initial[name].ravel() for name in trainable])
+    grad = np.empty_like(theta)
+    params = {**initial, **views(theta)}
     state = OptimizerState(np.zeros_like(theta), np.zeros_like(theta))
     rng = philox(config.seed)
 
@@ -149,16 +171,15 @@ def train(config, dataset, schedule, model):
                 raise DivergenceError("training diverged at step %d: non-finite"
                                       " loss" % step, step, params, history)
             backward(loss)
-            grad = np.concatenate([np.zeros(0)] + [leaves[name].grad.ravel()
-                                                   for name in trainable])
+            np.concatenate([np.zeros(0)] + [leaves[name].grad.ravel()
+                                            for name in trainable], out=grad)
             if not np.all(np.isfinite(grad)):
                 name = next(name for name, g in views(grad).items()
                             if not np.all(np.isfinite(g)))
                 raise DivergenceError("training diverged at step %d: non-finite"
                                       " gradient for %r" % (step, name), step,
                                       params, history)
-            theta = adamw_step(theta, grad, state, lr)
-            params = {**initial, **views(theta)}
+            adamw_step(theta, grad, state, lr)
 
             fm_val = float(value_of(fm))
             reg_val = float(value_of(reg))

@@ -596,26 +596,29 @@ COLD_START = """
 import json, sys
 from curveflow import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def lazy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m == "concurrent.futures")
 
 cfg, out = sys.argv[1:]
 ckpt = out + "/run/checkpoint.json"
-loaded = [scipy_modules()]
+loaded = [lazy_modules()]
 for argv in (["train", "--config", cfg, "--out", out + "/run"],
              ["sample", "--checkpoint", ckpt, "--count", "20",
               "--out", out + "/sample"],
              ["analyze", "--checkpoint", ckpt, "--out", out + "/analyze"],
              ["compare", "--config", cfg, "--out", out + "/compare"]):
     assert cli.main(argv) == 0, argv
-    loaded.append(scipy_modules())
+    loaded.append(lazy_modules())
 print(json.dumps(loaded))
 """
 
 
 def test_scipy_is_loaded_only_by_a_distance(tmp_path):
     # importing scipy.spatial costs a fresh command more than numpy and
-    # curveflow together; only energy_distance, so only compare, needs it
+    # curveflow together; only energy_distance, so only compare, needs it.
+    # concurrent.futures (~3 ms) waits for a sample_batch with two workers,
+    # which 20 rows in one block never start
     cfg = write_config(tmp_path, small_config())
     proc = subprocess.run([sys.executable, "-c", COLD_START, cfg,
                            str(tmp_path)], env=_fresh_env(),

@@ -1,10 +1,10 @@
+import concurrent.futures
 import os
 import threading
 
 import numpy as np
 import pytest
 
-from curveflow import sampling
 from curveflow.datagen import sample_noise
 from curveflow.errors import ConfigError, DivergenceError
 from curveflow.sampling import BLAS_VARS, SolverConfig, integrate, sample_batch
@@ -150,8 +150,8 @@ def _pin_workers(monkeypatch, cpus, blas):
     for var in BLAS_VARS:
         monkeypatch.setenv(var, blas)
     pools = []
-    pool = sampling.ThreadPoolExecutor
-    monkeypatch.setattr(sampling, "ThreadPoolExecutor",
+    pool = concurrent.futures.ThreadPoolExecutor  # imported by sample_batch
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         lambda workers: pools.append(workers) or pool(workers))
     return pools
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,13 +54,39 @@ def test_adamw_elementwise():
     assert out[0] == out[1] == out[2]
 
 
-def test_adamw_returns_a_new_vector():
-    theta = np.array([1.0, -2.0, 3.0])
-    out = adamw_step(theta, np.array([0.5, 0.0, -1.0]), fresh_state(3),
-                     lr=1e-3)
-    assert out is not theta
-    assert np.array_equal(theta, [1.0, -2.0, 3.0])
-    assert not np.array_equal(out, theta)
+def test_adamw_updates_theta_in_place():
+    rng = np.random.default_rng(1)
+    theta = rng.standard_normal(7)
+    state = fresh_state(7)
+    m, v, expected = np.zeros(7), np.zeros(7), theta.copy()
+    for k in range(1, 4):
+        lr = 1e-2 * k
+        grad = rng.standard_normal(7)
+        # the allocating formula that adamw_step computes in place
+        m = training.BETA1 * m + (1.0 - training.BETA1) * grad
+        v = training.BETA2 * v + (1.0 - training.BETA2) * grad * grad
+        expected = expected - lr * (m / (1.0 - training.BETA1 ** k)) / (
+            np.sqrt(v / (1.0 - training.BETA2 ** k)) + training.ADAM_EPS) \
+            - lr * WEIGHT_DECAY * expected
+        assert adamw_step(theta, grad, state, lr) is theta
+        assert state.step == k
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+        assert theta.tobytes() == expected.tobytes()
+
+
+def test_adamw_allocates_no_full_size_temporary():
+    theta = np.linspace(-1.0, 1.0, 100_000)
+    grad = np.cos(theta)
+    state = fresh_state(theta.size)
+    adamw_step(theta, grad, state, lr=1e-3)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        adamw_step(theta, grad, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < theta.nbytes / 100
 
 
 def test_adamw_flat_update_is_bitwise_the_per_name_update():
@@ -352,3 +380,21 @@ def test_train_updates_schedule_only_when_enabled():
         moved = any(not np.array_equal(before[n], schedule.params[n])
                     for n in before)
         assert moved == flag
+
+
+@pytest.mark.parametrize("train_schedule", [False, True])
+def test_train_never_writes_into_the_arrays_it_was_given(train_schedule):
+    # AdamW updates train's own flat vector in place; the model's and the
+    # schedule's arrays from before the run keep their bytes
+    data = small_dataset(count=64)
+    schedule = NeuralSchedule(hidden=8, embed=8, seed=0)
+    model = VelocityField(2, seed=0, hidden=8, time_features=4)
+    given = {**model.params, **schedule.params}
+    before = {n: a.tobytes() for n, a in given.items()}
+    cfg = TrainConfig(epochs=1, batch_size=16, lam=0.01, grid_m=16, seed=0,
+                      train_schedule=train_schedule)
+    result = train(cfg, data, schedule, model)
+    assert {n: a.tobytes() for n, a in given.items()} == before
+    for name in given:
+        trained = name in model.params or train_schedule
+        assert (result.params[name].tobytes() != before[name]) == trained
