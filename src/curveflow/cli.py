@@ -114,23 +114,25 @@ def _diagnostic_pairs(config, count=64):
 
 def cmd_train(args):
     config = _load_config_with_overrides(args)
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        result, schedule, model, _, _ = run_experiment(config)
+        result = run_experiment(config)[0]
     except DivergenceError as exc:
         # keep the last finite state; main reports the divergence
-        save_checkpoint(os.path.join(outdir, "checkpoint.json"),
-                        Checkpoint(config, exc.params, exc.step))
-        write_history_csv(os.path.join(outdir, "history.csv"), exc.history)
+        _write_run(args.out, config, exc.params, exc.history)
         raise
-    steps = len(result.history)
-    save_checkpoint(os.path.join(outdir, "checkpoint.json"),
-                    Checkpoint(config, result.params, steps))
-    write_history_csv(os.path.join(outdir, "history.csv"), result.history)
-    _write_manifest(os.path.join(outdir, "run_manifest.json"), config, steps)
-    print("trained %d steps; outputs in %s" % (steps, outdir))
+    _write_run(args.out, config, result.params, result.history)
+    print("trained %d steps; outputs in %s" % (len(result.history), args.out))
     return EXIT_OK
+
+
+def _write_run(outdir, config, params, history):
+    """Checkpoint, history and manifest of a run of ``len(history)`` steps."""
+    steps = len(history)
+    save_checkpoint(os.path.join(outdir, "checkpoint.json"),
+                    Checkpoint(config, params, steps))
+    write_history_csv(os.path.join(outdir, "history.csv"), history)
+    _write_manifest(os.path.join(outdir, "run_manifest.json"), config, steps)
 
 
 def _load_config_with_overrides(args):

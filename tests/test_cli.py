@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import platform
@@ -94,6 +95,24 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     assert "sampling diverged" in capsys.readouterr().err
 
 
+def test_diverged_train_rewrites_the_manifest(tmp_path):
+    # a diverged run into the directory of an earlier run replaces all
+    # three of its files, so none of them describes the earlier run
+    out = str(tmp_path / "run")
+    ok = write_config(tmp_path, small_config(), "ok.json")
+    assert cli.main(["train", "--config", ok, "--out", out]) == 0
+    bad = write_config(tmp_path, small_config(base_lr=1e18, epochs=2),
+                       "diverges.json")
+    with np.errstate(all="ignore"):
+        assert cli.main(["train", "--config", bad, "--out", out]) == 3
+    manifest = json.loads(open(os.path.join(out, "run_manifest.json")).read())
+    step = load_checkpoint(os.path.join(out, "checkpoint.json")).step
+    rows = open(os.path.join(out, "history.csv")).read().splitlines()[1:]
+    assert manifest["steps"] == step == len(rows)
+    assert manifest["config"]["train"]["base_lr"] == 1e18
+    assert manifest["config"]["train"]["epochs"] == 2
+
+
 def _trained_checkpoint(tmp_path):
     cfg = write_config(tmp_path, small_config())
     out = tmp_path / "trained"
@@ -142,12 +161,11 @@ def test_checkpoint_holds_no_optimizer_state(tmp_path):
     path = _trained_checkpoint(tmp_path)
     doc = json.loads(open(path).read())
     assert set(doc) == {"format_version", "config", "step", "params"}
-    # written one parameter at a time, it is the document's json.dumps text
     assert open(path).read() == json.dumps(doc) + "\n"
-    # a checkpoint in the earlier format, which also carried the AdamW
-    # state, still loads and samples the same points
-    zeros = {n: np.zeros_like(np.asarray(a)).tolist()
-             for n, a in doc["params"].items()}
+    # a checkpoint that also carries the AdamW state, as earlier ones did,
+    # still loads (the extra key is ignored) and samples the same points
+    zeros = {n: np.zeros_like(a).tolist()
+             for n, a in load_checkpoint(path).params.items()}
     doc["opt_state"] = {"step": doc["step"], "beta1": 0.9, "beta2": 0.999,
                         "eps": 1e-8, "weight_decay": 0.01,
                         "m": zeros, "v": zeros}
@@ -162,6 +180,21 @@ def test_checkpoint_holds_no_optimizer_state(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def test_checkpoint_params_round_trip_bit_exact(tmp_path):
+    big = 1.7976931348623157e308
+    params = {"v/extremes": np.array([[-0.0, 5e-324], [big, -big]]),
+              "v/scalar": np.array(-0.0), "v/one": np.array([5e-324])}
+    path = str(tmp_path / "extremes.json")
+    save_checkpoint(path, Checkpoint(config_from_dict(small_config()),
+                                     params, 3))
+    loaded = load_checkpoint(path)
+    assert list(loaded.params) == list(params) and loaded.step == 3
+    for name, arr in params.items():
+        got = loaded.params[name]
+        assert got.dtype == np.float64 and got.shape == arr.shape
+        assert got.tobytes() == arr.tobytes(), name
+
+
 def test_checkpoint_version_mismatch(tmp_path):
     path = _trained_checkpoint(tmp_path)
     doc = json.loads(open(path).read())
@@ -173,33 +206,76 @@ def test_checkpoint_version_mismatch(tmp_path):
     assert "format_version" in str(exc.value)
 
 
+def test_version_1_checkpoint_exits_2(tmp_path, capsys):
+    # version 1 wrote each parameter as nested lists of decimal numbers
+    path = _trained_checkpoint(tmp_path)
+    doc = json.loads(open(path).read())
+    doc["format_version"] = 1
+    doc["params"] = {n: a.tolist()
+                     for n, a in load_checkpoint(path).params.items()}
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc))
+    assert cli.main(["sample", "--checkpoint", str(old),
+                     "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == \
+        "error: format_version mismatch: got 1, expected 2\n"
+    assert not (tmp_path / "x" / "samples.csv").exists()
+
+
 MISSING = object()  # the field is left out of the checkpoint
 
 
-@pytest.mark.parametrize("field,value", [("step", "many"), ("params", [1, 2]),
-                                         ("step", 2.7), ("step", "5"),
-                                         ("step", True),
-                                         ("format_version", MISSING),
-                                         ("params", MISSING)])
-def test_checkpoint_malformed_field(tmp_path, field, value):
+def _b64(*values):
+    return base64.b64encode(np.array(values, "<f8").tobytes()).decode()
+
+
+# "v/b3.<key>" edits one key of the (2,)-shaped output bias's entry,
+# {"shape": [2], "data": ...}; "v/b3" replaces the whole entry
+@pytest.mark.parametrize("field,value", [
+    ("step", "many"), ("params", [1, 2]), ("step", 2.7), ("step", "5"),
+    ("step", True), ("format_version", MISSING), ("params", MISSING),
+    ("v/b3.data", _b64(1.0, 2.0)[:-1] + "*"),    # not a base64 character
+    ("v/b3.data", _b64(1.0, 2.0) + "\n"),         # nor is a newline
+    ("v/b3.data", _b64(1.0, 2.0)[:-2]),          # bad padding
+    ("v/b3.data", _b64(1.0, 2.0, 3.0)),          # 24 bytes for 2 entries
+    ("v/b3.data", _b64(1.0)),                    # 8 bytes for 2 entries
+    ("v/b3.data", base64.b64encode(bytes(14)).decode()),  # not whole floats
+    ("v/b3.data", 7), ("v/b3.data", MISSING), ("v/b3.shape", MISSING),
+    ("v/b3.shape", [-2, -1]), ("v/b3.shape", [-1]), ("v/b3.shape", [2.0]),
+    ("v/b3.shape", [True, 2]), ("v/b3.shape", 2),
+    ("v/b3", [0.5, 0.25]),                       # version 1's number list
+    ("v/b3", {"shape": [2], "data": _b64(0.5, np.nan)}),
+    ("v/b3", {"shape": [1], "data": _b64(np.inf)}),
+])
+def test_checkpoint_malformed_field(tmp_path, capsys, field, value):
     path = _trained_checkpoint(tmp_path)
     doc = json.loads(open(path).read())
+    name, _, key = field.partition(".")
+    target = doc["params"] if name.startswith("v/") else doc
+    if key:
+        target, name = target[name], key
     if value is MISSING:
-        del doc[field]
+        del target[name]
     else:
-        doc[field] = value
+        target[name] = value
     bad = tmp_path / "malformed.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(ConfigError) as exc:
         load_checkpoint(str(bad))
-    if value is MISSING:
+    if field in ("format_version", "params") and value is MISSING:
         assert str(exc.value) == "missing field: %s" % field
-    else:
+    elif field in ("step", "params"):
         kind = {"step": "int", "params": "dict"}[field]
         assert str(exc.value) == ("malformed checkpoint field: %s must be of "
                                   "type %s, got %r" % (field, kind, value))
+    else:
+        assert str(exc.value).startswith("malformed checkpoint field: ")
+        if not isinstance(value, str):  # base64's own errors name no field
+            assert "'v/b3'" in str(exc.value)
     assert cli.main(["sample", "--checkpoint", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x" / "samples.csv").exists()
 
 
 def _edited_checkpoint(tmp_path, section, field, value):
