@@ -1,7 +1,7 @@
 """Command-line entry point: train, sample, analyze, compare, gradcheck.
 
-Exit codes: 0 success, 1 check failure, 2 invalid input, 3 runtime
-divergence. All artifacts are text (JSON, CSV, SVG) and deterministic
+Exit codes: 0 success, 1 check failure, 2 invalid input, 3 divergence or,
+in ``analyze``, a degenerate trajectory. Artifacts are deterministic text
 given config and seed, except the run manifest's timestamp and environment.
 """
 
@@ -75,16 +75,17 @@ def _write_manifest(path, config, steps):
 
 
 def run_experiment(config):
-    """Train one model per the config; returns everything downstream needs."""
+    """Train one model per the config: (result, schedule, model, held_out)."""
     train_data, held_out = datagen.generate_split(config.data)
     schedule = build_schedule(config)
     model = build_model(config, dim=train_data.shape[1])
     result = train(config.train, train_data, schedule, model)
-    return result, schedule, model, train_data, held_out
+    return result, schedule, model, held_out
 
 
 def evaluate_model(config, schedule, model, held_out):
-    """Energy distance / sliced Wasserstein vs held-out, plus geometry."""
+    """(energy distance, sliced Wasserstein) of fresh samples against the
+    held-out set, and the schedule's determinant integral."""
     n = min(config.metrics.eval_count, held_out.shape[0])
     samples = sample_batch(model, n, held_out.shape[1], config.metrics.seed,
                            config.solver)
@@ -93,11 +94,7 @@ def evaluate_model(config, schedule, model, held_out):
     sw = metrics.sliced_wasserstein(samples, ref,
                                     projections=config.metrics.projections,
                                     seed=config.metrics.seed)
-    report = metrics.schedule_diagnostics(schedule, config.train.grid_m,
-                                          _diagnostic_pairs(config))
-    report.energy_distance = ed
-    report.sliced_wasserstein = sw
-    return report, samples
+    return ed, sw, float(losses.determinant_integral(schedule))
 
 
 def _diagnostic_pairs(config, count=64):
@@ -225,8 +222,8 @@ def cmd_compare(args):
         variants.append(("curveflow_lam_%g" % lam, "neural", lam,
                          config.train.timestep_sampler))
 
-    # every variant gets a row, so a failed one is not dropped silently
-    failed = []
+    # every variant gets a row, so a diverged one is not dropped silently
+    diverged = []
     results_path = os.path.join(outdir, "results.csv")
     with open(results_path, "w") as fh:
         fh.write("variant,lambda,energy_distance,sliced_wasserstein,"
@@ -237,26 +234,22 @@ def cmd_compare(args):
             vcfg.train.lam = lam
             vcfg.train.timestep_sampler = sampler
             try:
-                _, schedule, model, _, held_out = run_experiment(vcfg)
-                report, _ = evaluate_model(vcfg, schedule, model, held_out)
-            except (DivergenceError, DegenerateTrajectoryError) as exc:
-                status = ("diverged" if isinstance(exc, DivergenceError)
-                          else "degenerate")
-                print("variant %s %s: %s" % (name, status, exc), file=sys.stderr)
-                failed.append("%s (%s)" % (name, status))
-                fh.write("%s,%s,,,,%s\n" % (name, _fmt(lam), status))
+                _, schedule, model, held_out = run_experiment(vcfg)
+                ed, sw, integral = evaluate_model(vcfg, schedule, model,
+                                                  held_out)
+            except DivergenceError as exc:
+                print("variant %s diverged: %s" % (name, exc), file=sys.stderr)
+                diverged.append(name)
+                fh.write("%s,%s,,,,diverged\n" % (name, _fmt(lam)))
                 fh.flush()
                 continue
             fh.write("%s,%s,%s,%s,%s,ok\n"
-                     % (name, _fmt(lam), _fmt(report.energy_distance),
-                        _fmt(report.sliced_wasserstein),
-                        _fmt(report.determinant_integral)))
+                     % (name, _fmt(lam), _fmt(ed), _fmt(sw), _fmt(integral)))
             fh.flush()
             print("%s: energy=%.4f sliced_w=%.4f det_integral=%.6f"
-                  % (name, report.energy_distance, report.sliced_wasserstein,
-                     report.determinant_integral))
-    if failed:
-        print("failed variants: %s" % ", ".join(failed), file=sys.stderr)
+                  % (name, ed, sw, integral))
+    if diverged:
+        print("diverged variants: %s" % ", ".join(diverged), file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
 

@@ -26,8 +26,6 @@ SPEED_EPS = 1e-18  # below this, the curvature denominator is treated as zero
 
 @dataclass
 class EvalReport:
-    energy_distance: float = None
-    sliced_wasserstein: float = None
     determinant_integral: float = None
     mean_curvature_profile: np.ndarray = None
     det_profile: np.ndarray = None

@@ -89,15 +89,11 @@ class DerivativeGrid:
         return DerivativeGrid(*(take(f, index) for f in vars(self).values()))
 
 
-def _check_domain(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    return t
-
-
 class CoefficientSchedule:
-    """Base class; subclasses provide the derivatives, a(t) and b(t) follow."""
+    """Base class. Each kind gives one table, ``fields(t, params=None)``:
+    (a, b, da, db, dda, ddb) at a float array t already checked to lie in
+    [0, 1]. ``derivatives``, a(t) and b(t) follow from it.
+    """
 
     kind = "abstract"
 
@@ -110,56 +106,47 @@ class CoefficientSchedule:
     def b(self, t):
         return self.derivatives(t).b
 
+    def fields(self, t, params=None):
+        raise NotImplementedError
+
     def derivatives(self, t, params=None):
         """Exact DerivativeGrid at the times t in [0, 1], shaped like t."""
-        raise NotImplementedError
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0.0) or np.any(t > 1.0):
+            raise ValueError("t must lie in [0, 1]")
+        return DerivativeGrid(*self.fields(t, params))
 
 
-class _AnalyticSchedule(CoefficientSchedule):
-    """Closed-form schedule.
-
-    Each kind gives one table, ``fields(t)``: (a, b, da, db, dda, ddb) at
-    a float array t already checked to lie in [0, 1].
-    """
-
-    @staticmethod
-    def fields(t):
-        raise NotImplementedError
-
-    def derivatives(self, t, params=None):
-        return DerivativeGrid(*self.fields(_check_domain(t)))
-
-
-class LinearSchedule(_AnalyticSchedule):
+class LinearSchedule(CoefficientSchedule):
     """Rectified flow: a = 1 - t, b = t."""
 
     kind = "linear"
 
     @staticmethod
-    def fields(t):
+    def fields(t, params=None):
         return (1.0 - t, t + 0.0, -np.ones_like(t), np.ones_like(t),
                 np.zeros_like(t), np.zeros_like(t))
 
 
-class TrigSchedule(_AnalyticSchedule):
+class TrigSchedule(CoefficientSchedule):
     """a = cos(pi t / 2), b = sin(pi t / 2): quarter-circle in (a, b)."""
 
     kind = "trigonometric"
 
     @staticmethod
-    def fields(t):
+    def fields(t, params=None):
         c, s = np.cos(_HALF_PI * t), np.sin(_HALF_PI * t)
         return (c, s, -_HALF_PI * s, _HALF_PI * c,
                 -_HALF_PI ** 2 * c, -_HALF_PI ** 2 * s)
 
 
-class PolynomialSchedule(_AnalyticSchedule):
+class PolynomialSchedule(CoefficientSchedule):
     """a = (1 - t)^2, b = t^2; constant determinant d = -4."""
 
     kind = "polynomial"
 
     @staticmethod
-    def fields(t):
+    def fields(t, params=None):
         return ((1.0 - t) ** 2, t ** 2, -2.0 * (1.0 - t), 2.0 * t,
                 2.0 * np.ones_like(t), 2.0 * np.ones_like(t))
 
@@ -201,13 +188,12 @@ class NeuralSchedule(CoefficientSchedule):
         q, dq = t * (1.0 - t), 1.0 - 2.0 * t
         return q * f, dq * f + q * df, -2.0 * f + (2.0 * dq) * df + q * ddf
 
-    def derivatives(self, t, params=None):
+    def fields(self, t, params=None):
         # with zeroed residual nets this is the linear schedule exactly
-        t = _check_domain(t)
         ra, dra, ddra = self.residual_term("a", t, params)
         rb, drb, ddrb = self.residual_term("b", t, params)
-        return DerivativeGrid((1.0 - t) + ra, (t + 0.0) + rb,
-                              -1.0 + dra, 1.0 + drb, ddra, ddrb)
+        return ((1.0 - t) + ra, (t + 0.0) + rb, -1.0 + dra, 1.0 + drb,
+                ddra, ddrb)
 
 
 _ANALYTIC = {cls.kind: cls

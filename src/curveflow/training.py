@@ -42,6 +42,8 @@ class TrainConfig:
             raise ConfigError("base_lr must be > 0")
         if self.warmup_steps < 1:
             raise ConfigError("warmup_steps must be >= 1")
+        if self.poly_power < 0:
+            raise ConfigError("poly_power must be >= 0")
         if self.lam < 0:
             raise ConfigError("lam must be >= 0")
         if self.grid_m < 4:
@@ -103,7 +105,8 @@ def adamw_step(theta, grad, state, lr):
 
 
 def lr_at(step, total_steps, config):
-    """Linear warmup to base_lr, then polynomial decay to zero."""
+    """Linear warmup to base_lr, then polynomial decay to zero with the
+    power poly_power >= 0; a power of 0 holds base_lr."""
     w = config.warmup_steps
     if step < w:
         return config.base_lr * step / w

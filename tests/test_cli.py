@@ -448,27 +448,19 @@ def test_compare_reports_diverged_variants(tmp_path):
         assert (r[2:5] == ["", "", ""]) == (r[5] == "diverged")
 
 
-def test_compare_keeps_degenerate_variants(tmp_path, monkeypatch, capsys):
-    diagnostics = cli.metrics.schedule_diagnostics
+def test_compare_does_not_read_curvature_profiles(tmp_path, monkeypatch):
+    # compare writes the determinant integral alone, so diagnostic pairs
+    # that all degenerate change none of its results
+    def degenerate(schedule, grid, pairs):
+        raise DegenerateTrajectoryError("every pair's speed vanishes")
 
-    def degenerate_if_neural(schedule, grid, pairs):
-        if isinstance(schedule, cli.NeuralSchedule):
-            raise DegenerateTrajectoryError("every pair's speed vanishes")
-        return diagnostics(schedule, grid, pairs)
-
-    monkeypatch.setattr(cli.metrics, "schedule_diagnostics",
-                        degenerate_if_neural)
     cfg = write_config(tmp_path, small_config())
-    out = tmp_path / "cmp"
-    assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 3
-    rows = [r.split(",") for r in
-            (out / "results.csv").read_text().splitlines()[1:]]
-    assert [(r[0], r[5]) for r in rows] == [
-        ("rf_uniform", "ok"), ("rf_logit_normal", "ok"),
-        ("curveflow_lam_0", "degenerate"), ("curveflow_lam_0.01", "degenerate")]
-    assert all(r[2:5] == ["", "", ""] for r in rows[2:])
-    assert "failed variants: curveflow_lam_0 (degenerate)" in \
-        capsys.readouterr().err
+    argv = ["compare", "--config", cfg, "--out"]
+    assert cli.main(argv + [str(tmp_path / "plain")]) == 0
+    monkeypatch.setattr(cli.metrics, "schedule_diagnostics", degenerate)
+    assert cli.main(argv + [str(tmp_path / "patched")]) == 0
+    assert ((tmp_path / "plain" / "results.csv").read_bytes()
+            == (tmp_path / "patched" / "results.csv").read_bytes())
 
 
 def test_compare_empty_grid(tmp_path):
@@ -553,7 +545,7 @@ BAD_VALUES = [("train", "epochs", "5"), ("solver", "steps", None),
               ("schedule", "kind", "spline"), ("schedule", "embed", 7),
               ("model", "time_features", 5), ("metrics", "projections", 0),
               (None, "format_version", 2), (None, "lambda_grid", [-0.1]),
-              (None, "train", 5)]
+              (None, "train", 5), ("train", "poly_power", -1.0)]
 
 
 @pytest.mark.parametrize("section,field,value", BAD_VALUES)

@@ -21,9 +21,8 @@ class CustomSchedule(CoefficientSchedule):
         super().__init__()
         self._fns = (a_fn, b_fn, da_fn, db_fn, dda_fn, ddb_fn)
 
-    def derivatives(self, t, params=None):
-        t = np.asarray(t, dtype=float)
-        return DerivativeGrid(*(fn(t) for fn in self._fns))
+    def fields(self, t, params=None):
+        return tuple(fn(t) for fn in self._fns)
 
 
 def quadratic_stub():
@@ -74,7 +73,8 @@ def test_zero_residual_equals_linear_exactly():
 
 
 def test_domain_error_outside_unit_interval():
-    for sch in (LinearSchedule(), TrigSchedule(), random_neural(1)):
+    for sch in (LinearSchedule(), TrigSchedule(), PolynomialSchedule(),
+                random_neural(1), quadratic_stub()):
         with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
             sch.a(-0.1)
         with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
