@@ -12,6 +12,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -97,12 +98,9 @@ def evaluate_model(config, schedule, model, held_out):
     return ed, sw, float(losses.determinant_integral(schedule))
 
 
-def _diagnostic_pairs(config, count=64):
-    spec = datagen.DatasetSpec(kind=config.data.kind, count=count,
-                               seed=config.data.seed,
-                               noise_std=config.data.noise_std)
-    x0s = datagen.generate(spec)
-    eps = datagen.sample_noise(count, x0s.shape[1], config.data.seed + 1)
+def _diagnostic_pairs(config):
+    x0s = datagen.generate(replace(config.data, count=64))
+    eps = datagen.sample_noise(len(x0s), x0s.shape[1], config.data.seed + 1)
     return list(zip(x0s, eps))
 
 
@@ -134,7 +132,7 @@ def _write_run(outdir, config, params, history):
 
 def _load_config_with_overrides(args):
     config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config.train.seed = args.seed
     return config.validate()
 
@@ -339,12 +337,9 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DivergenceError, DegenerateTrajectoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    except (DivergenceError, DegenerateTrajectoryError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DIVERGED
+        return EXIT_INVALID if isinstance(exc, ConfigError) else EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -135,13 +135,18 @@ def config_to_dict(config):
     return dataclasses.asdict(config)
 
 
-def load_config(path):
+def _read_json(path, what):
+    """The JSON document at ``path``; ConfigError naming ``what`` if it
+    cannot be read or parsed."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
-    return config_from_dict(doc)
+        raise ConfigError("cannot read %s %s: %s" % (what, path, exc)) from exc
+
+
+def load_config(path):
+    return config_from_dict(_read_json(path, "config"))
 
 
 @dataclass
@@ -187,11 +192,7 @@ def _decode_param(name, entry):
 
 
 def load_checkpoint(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError("cannot read checkpoint %s: %s" % (path, exc)) from exc
+    doc = _read_json(path, "checkpoint")
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ConfigError("missing field: format_version")
     if doc["format_version"] != CHECKPOINT_VERSION:

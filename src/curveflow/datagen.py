@@ -6,7 +6,8 @@ the Box-Muller transform on Philox uniforms, so outputs are identical
 across runs and platforms.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +26,8 @@ class DatasetSpec:
             raise ConfigError("unknown dataset kind %r" % self.kind)
         if self.count < 1:
             raise ConfigError("count must be >= 1")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError("noise_std must be finite and >= 0")
         return self
 
 
@@ -116,9 +117,7 @@ def generate(spec):
 
 def generate_split(spec):
     """(train, held_out) of spec.count each: 2*count points split by parity."""
-    spec.validate()
-    rng = philox(spec.seed)
-    pts = _GENERATORS[spec.kind](rng, 2 * spec.count, spec.noise_std)
+    pts = generate(replace(spec, count=2 * spec.count))
     return pts[0::2], pts[1::2]
 
 

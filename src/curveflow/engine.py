@@ -51,9 +51,7 @@ class Tensor:
         return Tensor(x.sum(), "sum", (self,),
                       (lambda g: np.broadcast_to(g, x.shape),))
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
+    def reshape(self, shape):
         old = self.value.shape
         return Tensor(self.value.reshape(shape), "reshape", (self,),
                       (lambda g: np.asarray(g).reshape(old),))
@@ -147,14 +145,12 @@ def matmul(a, b):
                  (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
-def concat(a, b, axis=-1):
-    """Concatenate two values along ``axis``."""
+def concat(a, b):
+    """Join the columns of two 2-D values: [a, b]."""
     av, bv = value_of(a), value_of(b)
-    lead = (slice(None),) * (axis % av.ndim)
-    na = av.shape[len(lead)]
-    return _node(np.concatenate([av, bv], axis=axis), "concat", (a, b),
-                 (lambda g: g[lead + (slice(0, na),)],
-                  lambda g: g[lead + (slice(na, None),)]))
+    na = av.shape[1]
+    return _node(np.concatenate([av, bv], axis=1), "concat", (a, b),
+                 (lambda g: g[:, :na], lambda g: g[:, na:]))
 
 
 def take(x, index):
@@ -206,10 +202,8 @@ def silu(x):
     """x * sigmoid(x)."""
     xv = value_of(x)
     s = sigmoid(xv, np.empty_like(xv))
-    if not isinstance(x, Tensor):
-        return np.multiply(s, xv, out=s)
-    return Tensor(xv * s, "silu", (x,),
-                  (lambda g: g * (s * (1.0 + xv * (1.0 - s))),))
+    return _node(xv * s, "silu", (x,),
+                 (lambda g: g * (s * (1.0 + xv * (1.0 - s))),))
 
 
 def square(x):
@@ -301,17 +295,17 @@ def finite_difference_gradient(loss_fn, params, step=1e-5):
     return grads
 
 
-def max_relative_error(g1, g2, floor=1e-4):
+def max_relative_error(g1, g2):
     """Worst-case relative discrepancy between two gradient maps.
 
-    Denominators are clamped below by ``floor`` so that roundoff noise on
+    Denominators are clamped below by 1e-4 so that roundoff noise on
     near-zero gradients is compared absolutely. Returns (error, name).
     """
     worst = 0.0
     worst_name = ""
     for name in g1:
         a, b = np.asarray(g1[name]), np.asarray(g2[name])
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-4)
         err = np.abs(a - b) / denom
         if err.size and err.max() >= worst:
             worst = float(err.max())

@@ -115,7 +115,7 @@ def schedule_diagnostics(schedule, m, sample_pairs):
     training penalizes; the profiles are read at the interior nodes of
     the uniform grid, 0 < i < m. ``sample_pairs`` is a sequence of
     (x0, eps) pairs; pairs whose speed vanishes anywhere on the grid are
-    skipped (error if all do).
+    skipped (error if all do, or if there are none).
     """
     integral = float(determinant_integral(schedule))
     t = np.arange(1, m) / m
@@ -128,11 +128,9 @@ def schedule_diagnostics(schedule, m, sample_pairs):
             profiles.append(curvature(dg.da, dg.db, dg.dda, dg.ddb, x0, eps))
         except DegenerateTrajectoryError:
             continue
-    if sample_pairs and not profiles:
+    if not profiles:
         raise DegenerateTrajectoryError("all sample pairs are degenerate")
-    profile = (np.mean(profiles, axis=0) if profiles
-               else np.zeros_like(det))
     return EvalReport(determinant_integral=integral,
-                      mean_curvature_profile=profile,
+                      mean_curvature_profile=np.mean(profiles, axis=0),
                       det_profile=det,
                       profile_t=t)

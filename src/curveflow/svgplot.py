@@ -39,19 +39,17 @@ def _header(title):
 
 def scatter(path, groups, title):
     """groups: list of (label, (n, d >= 2) array); plots columns 0 and 1."""
-    arrays = [g[1] for g in groups if len(g[1])]
     parts = _header(title)
-    if arrays:
-        to_px = _mapper(*_bounds(arrays))
-        for gi, (label, pts) in enumerate(groups):
-            color = PALETTE[gi % len(PALETTE)]
-            parts.append('<text x="%d" y="%d" font-family="sans-serif" '
-                         'font-size="12" fill="%s">%s</text>'
-                         % (_PAD + 120 * gi, 40, color, label))
-            for x, y in np.asarray(pts, float)[:, :2]:
-                px, py = to_px(x, y)
-                parts.append('<circle cx="%.2f" cy="%.2f" r="2" fill="%s" '
-                             'fill-opacity="0.6"/>' % (px, py, color))
+    to_px = _mapper(*_bounds([pts for _, pts in groups]))
+    for gi, (label, pts) in enumerate(groups):
+        color = PALETTE[gi % len(PALETTE)]
+        parts.append('<text x="%d" y="%d" font-family="sans-serif" '
+                     'font-size="12" fill="%s">%s</text>'
+                     % (_PAD + 120 * gi, 40, color, label))
+        for x, y in np.asarray(pts, float)[:, :2]:
+            px, py = to_px(x, y)
+            parts.append('<circle cx="%.2f" cy="%.2f" r="2" fill="%s" '
+                         'fill-opacity="0.6"/>' % (px, py, color))
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
@@ -62,17 +60,16 @@ def lines(path, x, series, title):
     x = np.asarray(x, float)
     arrays = [np.stack([x, np.asarray(y, float)], axis=1) for _, y in series]
     parts = _header(title)
-    if arrays:
-        to_px = _mapper(*_bounds(arrays))
-        for gi, (label, y) in enumerate(series):
-            color = PALETTE[gi % len(PALETTE)]
-            coords = " ".join("%.2f,%.2f" % to_px(xi, yi)
-                              for xi, yi in zip(x, np.asarray(y, float)))
-            parts.append('<polyline points="%s" fill="none" stroke="%s" '
-                         'stroke-width="1.5"/>' % (coords, color))
-            parts.append('<text x="%d" y="%d" font-family="sans-serif" '
-                         'font-size="12" fill="%s">%s</text>'
-                         % (_PAD + 140 * gi, 40, color, label))
+    to_px = _mapper(*_bounds(arrays))
+    for gi, (label, y) in enumerate(series):
+        color = PALETTE[gi % len(PALETTE)]
+        coords = " ".join("%.2f,%.2f" % to_px(xi, yi)
+                          for xi, yi in zip(x, np.asarray(y, float)))
+        parts.append('<polyline points="%s" fill="none" stroke="%s" '
+                     'stroke-width="1.5"/>' % (coords, color))
+        parts.append('<text x="%d" y="%d" font-family="sans-serif" '
+                     'font-size="12" fill="%s">%s</text>'
+                     % (_PAD + 140 * gi, 40, color, label))
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -38,14 +38,14 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be > 0")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError("base_lr must be finite and > 0")
         if self.warmup_steps < 1:
             raise ConfigError("warmup_steps must be >= 1")
-        if self.poly_power < 0:
-            raise ConfigError("poly_power must be >= 0")
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
+        if not 0 <= self.poly_power < math.inf:
+            raise ConfigError("poly_power must be finite and >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError("lam must be finite and >= 0")
         if self.grid_m < 4:
             raise ConfigError("grid_m must be >= 4")
         if self.timestep_sampler not in ("uniform", "logit-normal"):

@@ -37,8 +37,7 @@ class VelocityField:
         p = self.params if params is None else params
         # a scalar t's features are computed once and broadcast over the rows
         feats = sinusoidal_features(t, self.time_features)
-        h = concat(z, np.broadcast_to(feats, (len(value_of(z)), feats.shape[1])),
-                   axis=1)
+        h = concat(z, np.broadcast_to(feats, (len(value_of(z)), feats.shape[1])))
         if any(isinstance(a, Tensor) for a in (h, *p.values())):
             for i in range(3):
                 h = silu(h @ p["v/w%d" % i] + p["v/b%d" % i])

@@ -386,6 +386,20 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(str(bad))
 
 
+@pytest.mark.parametrize("truncated", [False, True],
+                         ids=["missing", "truncated"])
+def test_sample_reports_unreadable_checkpoint(tmp_path, capsys, truncated):
+    bad = tmp_path / "bad.json"
+    if truncated:
+        bad.write_text(open(_trained_checkpoint(tmp_path)).read()[:100])
+        capsys.readouterr()
+    assert cli.main(["sample", "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: cannot read checkpoint %s: " % bad), err
+
+
 def test_analyze_linear_schedule(tmp_path, capsys):
     out = tmp_path / "an"
     assert cli.main(["analyze", "--schedule", "linear", "--out", str(out)]) == 0

@@ -13,8 +13,9 @@ def test_spec_validation():
         DatasetSpec(kind="mnist").validate()
     with pytest.raises(ConfigError):
         DatasetSpec(count=0).validate()
-    with pytest.raises(ConfigError):
-        DatasetSpec(noise_std=-0.1).validate()
+    for noise_std in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            DatasetSpec(noise_std=noise_std).validate()
 
 
 def test_gaussians8_zero_noise_on_ring():

@@ -9,7 +9,7 @@ from curveflow.errors import ConfigError, DegenerateTrajectoryError
 from curveflow.metrics import (energy_distance, schedule_diagnostics,
                                sliced_wasserstein)
 from curveflow.schedules import LinearSchedule, TrigSchedule
-from curveflow.losses import total_loss_graph
+from curveflow.losses import determinant_integral, total_loss_graph
 from curveflow.velocity import VelocityField
 
 HALF_PI = np.pi / 2
@@ -132,18 +132,23 @@ def test_diagnostics_trig_closed_forms():
 def test_determinant_integral_matches_regularizer():
     # the diagnostics read the nodes alone; a training step reads them
     # after the batch's t in one evaluation
-    report = schedule_diagnostics(TrigSchedule(), 500, [])
+    integral = float(determinant_integral(TrigSchedule()))
+    pair = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    report = schedule_diagnostics(TrigSchedule(), 500, [pair])
+    assert report.determinant_integral == integral
     batch = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([0.4]))
     model = VelocityField(2, seed=0, hidden=8, time_features=4)
     for lam in (0.3, 1.0, 2.5):
         loss = total_loss_graph(batch, model, TrigSchedule(), lam, None)[1]
-        assert abs(report.determinant_integral - loss / lam) < 1e-12 * loss / lam
+        assert abs(integral - loss / lam) < 1e-12 * loss / lam
 
 
 def test_diagnostics_all_degenerate_pairs():
     x0 = np.array([1.0, 1.0])
     with pytest.raises(DegenerateTrajectoryError):
         schedule_diagnostics(LinearSchedule(), 50, [(x0, x0)])
+    with pytest.raises(DegenerateTrajectoryError):
+        schedule_diagnostics(LinearSchedule(), 50, [])
 
 
 def test_diagnostics_skips_degenerate_pairs():
@@ -154,7 +159,8 @@ def test_diagnostics_skips_degenerate_pairs():
 
 
 def test_diagnostics_profile_grid_interior():
-    report = schedule_diagnostics(LinearSchedule(), 10, [])
+    pair = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    report = schedule_diagnostics(LinearSchedule(), 10, [pair])
     t = report.profile_t
     assert len(t) == 9
     assert t[0] == 1 / 10

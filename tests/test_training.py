@@ -23,7 +23,10 @@ def test_config_validation():
     TrainConfig(grid_m=4).validate()
     for bad in (dict(epochs=0), dict(batch_size=0), dict(base_lr=0.0),
                 dict(warmup_steps=0), dict(lam=-0.1),
-                dict(timestep_sampler="cosmap"), dict(grid_m=3)):
+                dict(timestep_sampler="cosmap"), dict(grid_m=3),
+                # configs built in Python skip the JSON loader's check
+                *({name: value} for name in ("base_lr", "poly_power", "lam")
+                  for value in (np.nan, np.inf))):
         with pytest.raises(ConfigError):
             TrainConfig(**bad).validate()
 
