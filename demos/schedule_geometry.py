@@ -13,8 +13,8 @@ import os
 
 import numpy as np
 
-from curveflow import (curvature, make_schedule, pointwise_derivatives,
-                       schedule_diagnostics, svgplot)
+from curveflow import (curvature, determinant_integral, make_schedule,
+                       pointwise_derivatives, svgplot)
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 
@@ -28,10 +28,9 @@ def main():
     for kind in ("linear", "trigonometric", "polynomial"):
         schedule = make_schedule(kind)
         dg = pointwise_derivatives(schedule, np.array([0.25, 0.5, 0.75]))
-        kappas = curvature(dg.da, dg.db, dg.dda, dg.ddb, x0, eps)
-        report = schedule_diagnostics(schedule, 1000, [(x0, eps)])
+        kappas = curvature(dg, x0, eps)
         print("  %-14s kappa(0.25, 0.5, 0.75) = %s   det integral = %.4f"
-              % (kind, np.round(kappas, 4), report.determinant_integral))
+              % (kind, np.round(kappas, 4), determinant_integral(schedule)))
 
     # the linear schedule is a straight line (zero curvature); the
     # trigonometric one traces a quarter circle (constant curvature 1)

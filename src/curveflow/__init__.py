@@ -9,9 +9,9 @@ from .datagen import (DatasetSpec, export_csv, generate, generate_split,
                       sample_noise)
 from .engine import (ParameterSet, Tensor, backward, evaluate_with_gradients,
                      finite_difference_gradient)
-from .losses import (LossReport, curve_fm_loss, determinant_profile,
-                     robust_curvature_loss)
-from .metrics import (EvalReport, cross_magnitude, curvature, energy_distance,
+from .losses import (LossReport, curve_fm_loss, determinant_integral,
+                     determinant_profile, robust_curvature_loss)
+from .metrics import (cross_magnitude, curvature, energy_distance,
                       schedule_diagnostics, sliced_wasserstein)
 from .sampling import SolverConfig, integrate, sample_batch
 from .schedules import (CoefficientSchedule, DerivativeGrid, LinearSchedule,

@@ -188,22 +188,20 @@ def cmd_analyze(args):
     else:
         config = ExperimentConfig()
         schedule = make_schedule(args.schedule)
-    report = metrics.schedule_diagnostics(schedule, config.train.grid_m,
-                                          _diagnostic_pairs(config))
+    t, kappa, det = metrics.schedule_diagnostics(
+        schedule, config.train.grid_m, _diagnostic_pairs(config))
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "curvature_profile.csv")
     with open(csv_path, "w") as fh:
         fh.write("t,mean_kappa,det\n")
-        for t, k, d in zip(report.profile_t, report.mean_curvature_profile,
-                           report.det_profile):
-            fh.write("%s,%s,%s\n" % (_fmt(t), _fmt(k), _fmt(d)))
-    svgplot.lines(os.path.join(outdir, "curvature_profile.svg"),
-                  report.profile_t,
-                  [("mean curvature", report.mean_curvature_profile),
-                   ("determinant", report.det_profile)],
+        for ti, k, d in zip(t, kappa, det):
+            fh.write("%s,%s,%s\n" % (_fmt(ti), _fmt(k), _fmt(d)))
+    svgplot.lines(os.path.join(outdir, "curvature_profile.svg"), t,
+                  [("mean curvature", kappa), ("determinant", det)],
                   title="schedule geometry")
-    print("determinant_integral %s" % _fmt(report.determinant_integral))
+    print("determinant_integral %s"
+          % _fmt(losses.determinant_integral(schedule)))
     return EXIT_OK
 
 
@@ -239,13 +237,12 @@ def cmd_compare(args):
                 print("variant %s diverged: %s" % (name, exc), file=sys.stderr)
                 diverged.append(name)
                 fh.write("%s,%s,,,,diverged\n" % (name, _fmt(lam)))
-                fh.flush()
-                continue
-            fh.write("%s,%s,%s,%s,%s,ok\n"
-                     % (name, _fmt(lam), _fmt(ed), _fmt(sw), _fmt(integral)))
+            else:
+                fh.write("%s,%s,%s,%s,%s,ok\n" % (name, _fmt(lam), _fmt(ed),
+                                                  _fmt(sw), _fmt(integral)))
+                print("%s: energy=%.4f sliced_w=%.4f det_integral=%.6f"
+                      % (name, ed, sw, integral))
             fh.flush()
-            print("%s: energy=%.4f sliced_w=%.4f det_integral=%.6f"
-                  % (name, ed, sw, integral))
     if diverged:
         print("diverged variants: %s" % ", ".join(diverged), file=sys.stderr)
         return EXIT_DIVERGED

@@ -206,6 +206,6 @@ def load_checkpoint(path):
         params = ParameterSet({name: _decode_param(name, entry) for name, entry
                                in _typed(doc["params"], dict, "params").items()})
         step = _typed(doc["step"], int, "step")
-    except (AttributeError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # a bad field; any other exception is a bug
         raise ConfigError("malformed checkpoint field: %s" % exc) from exc
     return Checkpoint(config=config, params=params, step=step)

@@ -66,37 +66,33 @@ def sample_noise(count, dim, seed):
     return _box_muller(rng, count * dim).reshape(count, dim)
 
 
-def _gaussians8(rng, n, noise_std):
+def _gaussians8(rng, n):
     comp = rng.integers(0, 8, size=n)
     ang = 2.0 * np.pi * comp / 8.0
-    centers = 4.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return centers + noise_std * _box_muller(rng, 2 * n).reshape(n, 2)
+    return 4.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def _two_moons(rng, n, noise_std):
+def _two_moons(rng, n):
     n_out = n // 2
     n_in = n - n_out
     th_out = np.pi * rng.random(n_out)
     th_in = np.pi * rng.random(n_in)
     outer = np.stack([np.cos(th_out), np.sin(th_out)], axis=1)
     inner = np.stack([1.0 - np.cos(th_in), 0.5 - np.sin(th_in)], axis=1)
-    pts = np.concatenate([outer, inner])
-    return 2.0 * pts + noise_std * _box_muller(rng, 2 * n).reshape(n, 2)
+    return 2.0 * np.concatenate([outer, inner])
 
 
-def _checkerboard(rng, n, noise_std):
+def _checkerboard(rng, n):
     x1 = rng.random(n) * 4.0 - 2.0
     x2 = rng.random(n) - rng.integers(0, 2, size=n) * 2.0
     x2 = x2 + np.floor(x1) % 2
-    pts = np.stack([x1, x2], axis=1) * 2.0
-    return pts + noise_std * _box_muller(rng, 2 * n).reshape(n, 2)
+    return np.stack([x1, x2], axis=1) * 2.0
 
 
-def _spiral(rng, n, noise_std):
+def _spiral(rng, n):
     th = 3.0 * np.pi * np.sqrt(rng.random(n))
     r = th / (3.0 * np.pi) * 4.0
-    pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-    return pts + noise_std * _box_muller(rng, 2 * n).reshape(n, 2)
+    return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
 
 
 _GENERATORS = {
@@ -109,10 +105,12 @@ KINDS = tuple(_GENERATORS)
 
 
 def generate(spec):
-    """Points for the spec, shape (count, 2)."""
+    """Points for the spec, shape (count, 2): the kind's shape draws, then
+    noise_std times Box-Muller normals from the same Philox stream."""
     spec.validate()
-    rng = philox(spec.seed)
-    return _GENERATORS[spec.kind](rng, spec.count, spec.noise_std)
+    rng, n = philox(spec.seed), spec.count
+    pts = _GENERATORS[spec.kind](rng, n)
+    return pts + spec.noise_std * _box_muller(rng, 2 * n).reshape(n, 2)
 
 
 def generate_split(spec):

@@ -10,10 +10,12 @@ Each primitive is one function that takes Tensors and plain arrays alike.
 Only the Tensor operands enter the tape as parents; constants stay plain
 arrays, so no node is recorded for a value that has no gradient. With no
 Tensor operand a primitive returns a plain ndarray, so the same forward
-code runs on plain arrays and on tape nodes (training). Tensors opt out of
-numpy's ufunc protocol (NEP 13), so ``ndarray (op) Tensor`` goes to the
-Tensor's reflected operator and ``np.sin(Tensor)`` raises ``TypeError``
-instead of escaping the tape.
+code runs on plain arrays and on tape nodes (training). A Tensor has the
+operators its callers apply: ``+``, ``*`` and ``@`` on either side,
+``Tensor - x`` and ``x / Tensor``. Tensors opt out of numpy's ufunc
+protocol (NEP 13), so ``ndarray (op) Tensor`` goes to the Tensor's
+reflected operator, and ``x - Tensor``, ``Tensor / x``, ``-Tensor`` and
+``np.sin(Tensor)`` raise ``TypeError`` instead of escaping the tape.
 """
 
 import numpy as np
@@ -70,15 +72,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, multiply(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, multiply(self, -1.0))
-
-    def __neg__(self):
-        return multiply(self, -1.0)
-
-    def __truediv__(self, other):
-        return divide(self, other)
 
     def __rtruediv__(self, other):
         return divide(other, self)

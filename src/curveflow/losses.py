@@ -24,7 +24,7 @@ the 64-node Gauss-Legendre rule (nodes t_i, weights w_i on [0, 1]) for
 lambda times the integral of the squared determinant over [0, 1]; the
 paper takes a Riemann sum. A training step reads both terms from one
 ``pointwise_derivatives`` call at the batch's t and the quadrature nodes;
-the diagnostics read the nodes alone through ``grid_derivatives``.
+``determinant_integral`` reads the nodes alone through ``grid_derivatives``.
 """
 
 from dataclasses import dataclass

@@ -12,24 +12,14 @@ cross-product magnitude is taken in the n-dimensional sense via the
 Lagrange identity.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datagen import philox
 from .errors import ConfigError, DegenerateTrajectoryError
-from .losses import determinant_integral, determinant_profile
+from .losses import determinant_profile
 
 MAX_PAIRWISE = 5000  # above this, pairwise sums use a seeded subsample
 SPEED_EPS = 1e-18  # below this, the curvature denominator is treated as zero
-
-
-@dataclass
-class EvalReport:
-    determinant_integral: float = None
-    mean_curvature_profile: np.ndarray = None
-    det_profile: np.ndarray = None
-    profile_t: np.ndarray = None
 
 
 def _points(name, arr):
@@ -88,49 +78,41 @@ def cross_magnitude(x0, eps):
     return float(np.sqrt(max(g, 0.0)))
 
 
-def curvature(da, db, dda, ddb, x0, eps):
-    """Trajectory curvature kappa from the schedule derivatives.
-
-    ``da`` .. ``ddb`` are scalars or equal-shape arrays over t; the result
-    has their shape. Raises DegenerateTrajectoryError if the speed
-    vanishes at any t, where the curvature is undefined.
+def curvature(fields, x0, eps):
+    """Trajectory curvature kappa at the times of ``fields``, a schedule's
+    ``DerivativeGrid``; the result has the shape of its fields. Raises
+    DegenerateTrajectoryError if the speed vanishes at any t, where the
+    curvature is undefined.
     """
     x0 = np.asarray(x0, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if x0.shape != eps.shape:
         raise ValueError("x0 and eps must share a shape, got %s vs %s"
                          % (x0.shape, eps.shape))
+    da, db = fields.da, fields.db
     sp2 = (da * da * (x0 @ x0) + 2.0 * da * db * (x0 @ eps)
            + db * db * (eps @ eps))
     if np.any(sp2 < SPEED_EPS):
         raise DegenerateTrajectoryError(
             "trajectory speed vanishes (min speed^2=%g)" % np.min(sp2))
-    return np.abs(da * ddb - db * dda) * cross_magnitude(x0, eps) / sp2 ** 1.5
+    return (np.abs(determinant_profile(fields)) * cross_magnitude(x0, eps)
+            / sp2 ** 1.5)
 
 
 def schedule_diagnostics(schedule, m, sample_pairs):
-    """Determinant integral, and mean curvature profile over t = i/m.
-
-    The integral is the regularizer's quadrature, so it is the quantity
-    training penalizes; the profiles are read at the interior nodes of
-    the uniform grid, 0 < i < m. ``sample_pairs`` is a sequence of
+    """(t, mean curvature, determinant) at the interior nodes t = i/m,
+    0 < i < m, of the uniform grid. ``sample_pairs`` is a sequence of
     (x0, eps) pairs; pairs whose speed vanishes anywhere on the grid are
     skipped (error if all do, or if there are none).
     """
-    integral = float(determinant_integral(schedule))
     t = np.arange(1, m) / m
     dg = schedule.derivatives(t)
-    det = determinant_profile(dg)
-
     profiles = []
     for x0, eps in sample_pairs:
         try:
-            profiles.append(curvature(dg.da, dg.db, dg.dda, dg.ddb, x0, eps))
+            profiles.append(curvature(dg, x0, eps))
         except DegenerateTrajectoryError:
             continue
     if not profiles:
         raise DegenerateTrajectoryError("all sample pairs are degenerate")
-    return EvalReport(determinant_integral=integral,
-                      mean_curvature_profile=np.mean(profiles, axis=0),
-                      det_profile=det,
-                      profile_t=t)
+    return t, np.mean(profiles, axis=0), determinant_profile(dg)

@@ -41,7 +41,7 @@ def test_criterion_1_linear_schedule_zero_curvature():
         eps = rng.standard_normal(dim)
         t = rng.random()
         dg = pointwise_derivatives(lin, t)
-        worst = max(worst, curvature(dg.da, dg.db, dg.dda, dg.ddb, x0, eps))
+        worst = max(worst, curvature(dg, x0, eps))
     elapsed = time.time() - start
     ok = worst < 1e-9 and elapsed < 1.0
     report(1, ok, "max kappa %.3g over 1000 draws (dims 2-8), %.2fs"
@@ -66,8 +66,8 @@ def test_criterion_2_trig_regularizer_oracle():
 def test_criterion_3_quarter_circle_curvature():
     start = time.time()
     pair = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    rep = schedule_diagnostics(TrigSchedule(), 1000, [pair])
-    err = np.max(np.abs(rep.mean_curvature_profile - 1.0))
+    kappa = schedule_diagnostics(TrigSchedule(), 1000, [pair])[1]
+    err = np.max(np.abs(kappa - 1.0))
     elapsed = time.time() - start
     ok = err < 1e-3 and elapsed < 1.0
     report(3, ok, "max |kappa - 1| = %.3g across the grid, %.2fs"

@@ -386,6 +386,18 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(str(bad))
 
 
+@pytest.mark.parametrize("fault", [TypeError, AttributeError])
+def test_checkpoint_program_fault_propagates(tmp_path, monkeypatch, fault):
+    # only a malformed field becomes ConfigError (exit 2); a bug is raised
+    path = _trained_checkpoint(tmp_path)
+
+    def faulty(doc):
+        raise fault("a program fault")
+    monkeypatch.setattr(config, "config_from_dict", faulty)
+    with pytest.raises(fault, match="a program fault"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("truncated", [False, True],
                          ids=["missing", "truncated"])
 def test_sample_reports_unreadable_checkpoint(tmp_path, capsys, truncated):

@@ -37,6 +37,19 @@ def test_gaussians8_component_counts():
     assert np.all(np.abs(counts - 1250) < 4 * sigma)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_noise_scales_one_draw_per_kind(kind):
+    # noise_std scales one set of standard normals, drawn after the shape's
+    # draws: generate(s) - generate(0) is s (generate(1) - generate(0))
+    def points(noise_std):
+        return generate(DatasetSpec(kind, 300, seed=4, noise_std=noise_std))
+    clean = points(0.0)
+    unit = points(1.0) - clean
+    assert abs(unit.std() - 1.0) < 0.1
+    for s in (0.1, 0.3, 2.5):
+        assert np.allclose(points(s) - clean, s * unit, rtol=0, atol=1e-12)
+
+
 def test_generators_deterministic():
     for kind in KINDS:
         spec = DatasetSpec(kind, 100, seed=3)

@@ -5,7 +5,7 @@ import pytest
 
 from curveflow.errors import DegenerateTrajectoryError
 from curveflow.metrics import cross_magnitude, curvature
-from curveflow.schedules import (LinearSchedule, TrigSchedule,
+from curveflow.schedules import (DerivativeGrid, LinearSchedule, TrigSchedule,
                                  pointwise_derivatives)
 from test_schedule import random_neural
 
@@ -16,7 +16,7 @@ E2 = np.array([0.0, 1.0])
 def kappa(schedule, x0, eps, t):
     """Curvature at t of an analytic schedule, from its closed forms."""
     dg = pointwise_derivatives(schedule, t)
-    return curvature(dg.da, dg.db, dg.dda, dg.ddb, x0, eps)
+    return curvature(dg, x0, eps)
 
 
 def test_target_velocity_linear_is_difference():
@@ -91,8 +91,9 @@ def test_degenerate_trajectory_error():
         kappa(lin, x0, x0, 0.5)  # speed identically zero
     # one degenerate node is enough to reject the whole profile
     with pytest.raises(DegenerateTrajectoryError):
-        curvature(np.array([1.0, 0.0]), np.array([0.0, 0.0]),
-                  np.zeros(2), np.zeros(2), E1, E2)
+        curvature(DerivativeGrid(None, None, np.array([1.0, 0.0]),
+                                 np.array([0.0, 0.0]), np.zeros(2),
+                                 np.zeros(2)), E1, E2)
 
 
 def test_interpolate_shape_mismatch():
@@ -137,7 +138,7 @@ def test_curvature_scaling_inverse():
 
 def test_neural_curvature_runs():
     dg = pointwise_derivatives(random_neural(5), np.arange(1, 100) / 100)
-    k = curvature(dg.da, dg.db, dg.dda, dg.ddb, E1, E2)
+    k = curvature(dg, E1, E2)
     assert k.shape == (99,)
     assert np.all(k >= 0.0)
     assert np.all(np.isfinite(k))

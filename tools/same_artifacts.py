@@ -5,9 +5,11 @@
 BASE and NEW are the roots of two checkouts. For each, one fixed command
 set runs in fresh interpreters with ``PYTHONPATH=<tree>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, at seed 0: ``train`` on a small neural config
-with a two-value ``lambda_grid``, ``sample``, ``analyze --checkpoint``,
-``analyze --schedule`` for each of the four kinds, ``compare`` and
-``gradcheck``. Every file the commands write is compared, except the
+with a two-value ``lambda_grid``, ``sample`` of 2000 points (two row blocks,
+so on a machine with spare cores they run on threads), ``analyze
+--checkpoint``, ``analyze --schedule`` for each of the four kinds,
+``compare``, ``gradcheck``, and a 1-epoch ``train`` on 64 points of each
+other dataset kind. Every file the commands write is compared, except the
 timestamped ``run_manifest.json``, and so is each command's stdout. One
 line per artifact reads ``identical`` or ``DIFFER``; the exit status is 1
 if any artifact differs or is missing on one side, 0 if all are identical,
@@ -30,13 +32,20 @@ CONFIG = {
     "metrics": {"projections": 16, "eval_count": 256, "seed": 0},
     "lambda_grid": [0.0, 1e-3],
 }
+OTHER_KINDS = ("two_moons", "checkerboard", "spiral")
+# config file name -> document; the runs write each into their directory
+CONFIGS = {"config.json": CONFIG, **{
+    "config_%s.json" % kind: {
+        **CONFIG, "data": {**CONFIG["data"], "kind": kind, "count": 64},
+        "train": {**CONFIG["train"], "epochs": 1}}
+    for kind in OTHER_KINDS}}
 
 # (name, argv after ``curveflow``); paths are relative to the run directory
 COMMANDS = [
     ("train", ["train", "--config", "config.json", "--out", "train",
                "--seed", "0"]),
     ("sample", ["sample", "--checkpoint", "train/checkpoint.json",
-                "--count", "500", "--seed", "0", "--out", "sample"]),
+                "--count", "2000", "--seed", "0", "--out", "sample"]),
     ("analyze_checkpoint", ["analyze", "--checkpoint", "train/checkpoint.json",
                             "--out", "analyze_checkpoint"]),
 ] + [("analyze_" + kind, ["analyze", "--schedule", kind,
@@ -45,9 +54,11 @@ COMMANDS = [
     ("compare", ["compare", "--config", "config.json", "--out", "compare",
                  "--seed", "0"]),
     ("gradcheck", ["gradcheck", "--seed", "0"]),
-]
+] + [("train_" + kind, ["train", "--config", "config_%s.json" % kind,
+                        "--out", "train_" + kind, "--seed", "0"])
+     for kind in OTHER_KINDS]
 
-SKIPPED = {"run_manifest.json", "config.json"}
+SKIPPED = {"run_manifest.json", *CONFIGS}
 
 
 def run_tree(tree, rundir):
@@ -59,8 +70,9 @@ def run_tree(tree, rundir):
         env=env, capture_output=True, text=True, check=True).stdout.strip()
     if not found.startswith(src + os.sep):
         sys.exit("error: %s imports curveflow from %s" % (tree, found))
-    with open(os.path.join(rundir, "config.json"), "w") as fh:
-        json.dump(CONFIG, fh)
+    for filename, doc in CONFIGS.items():
+        with open(os.path.join(rundir, filename), "w") as fh:
+            json.dump(doc, fh)
     artifacts = {}
     for name, argv in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "curveflow.cli", *argv],
