@@ -58,6 +58,26 @@ def write_history_csv(path, history):
                                            _fmt(row.total), _fmt(row.lr)))
 
 
+def _blas_kernel():
+    """The kernel the loaded scipy-openblas library runs (e.g. "SkylakeX"),
+    or None where no mapped OpenBLAS has scipy-openblas's corename symbol."""
+    import ctypes  # only the manifest needs it
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                     if "openblas" in line}
+    except OSError:  # no /proc/self/maps: not Linux
+        paths = ()
+    for path in sorted(paths):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def _write_manifest(path, config, steps):
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -69,6 +89,7 @@ def _write_manifest(path, config, steps):
            "steps": steps,
            "python": platform.python_version(), "numpy": np.__version__,
            "blas": {k: blas.get(k) for k in ("name", "version")},
+           "blas_kernel": _blas_kernel(),
            "blas_threads": {v: os.environ.get(v) for v in BLAS_VARS}}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)

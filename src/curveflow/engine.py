@@ -184,7 +184,8 @@ def tanh_jet(u, bias):
 
 def sigmoid(x, out):
     """1 / (1 + exp(-x)) into ``out`` (which may be ``x``), with numpy's SIMD
-    exp; below x = -709, exp(-x) overflows to inf and gives expit's 0."""
+    exp; below x = -709 (-88 in float32), exp(-x) overflows to inf and gives
+    expit's 0."""
     with np.errstate(over="ignore"):
         np.exp(np.negative(x, out=out), out=out)
     out += 1.0

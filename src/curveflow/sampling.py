@@ -1,5 +1,6 @@
 """Generation: integrate dz/dt = v(z, t) from noise (t=1) down to data (t=0)."""
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -7,6 +8,7 @@ import numpy as np
 
 from .datagen import sample_noise
 from .errors import ConfigError, DivergenceError
+from .velocity import VelocityField
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -64,10 +66,16 @@ def sample_batch(model, count, dim, seed, config):
             else os.cpu_count() or 1)
     blas = int(blas) if blas.isdigit() and int(blas) > 0 else cpus
     workers = min(blocks, cpus // blas)
+    field = lambda: model
+    if isinstance(model, VelocityField):
+        # a float32 network, cast once, with hidden buffers made once per
+        # block; integrate keeps z, the steps and the checks in float64
+        params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        field = lambda: functools.partial(model, params=params, scratch={})
 
     def run(start, stop):
         try:
-            return integrate(model, eps[start:stop], config)
+            return integrate(field(), eps[start:stop], config)
         except DivergenceError as exc:  # raised below at the earliest step
             return exc
     if workers > 1:

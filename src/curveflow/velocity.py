@@ -31,19 +31,28 @@ class VelocityField:
         length (2 if it is missing; the shape check then rejects them)."""
         return np.size(params.get("v/b3", ())) or 2
 
-    def __call__(self, z, t, params=None):
+    def __call__(self, z, t, params=None, scratch=None):
         """Velocity at the rows of z, (batch, dim); t is scalar or (batch,).
-        With no Tensor among z and the parameters it runs on plain arrays."""
+        With no Tensor among z and the parameters it runs on plain arrays in
+        the parameters' dtype; a ``scratch`` dict keeps the hidden buffers
+        for the caller's later calls."""
         p = self.params if params is None else params
         # a scalar t's features are computed once and broadcast over the rows
         feats = sinusoidal_features(t, self.time_features)
-        h = concat(z, np.broadcast_to(feats, (len(value_of(z)), feats.shape[1])))
-        if any(isinstance(a, Tensor) for a in (h, *p.values())):
+        feats = np.broadcast_to(feats, (len(value_of(z)), feats.shape[1]))
+        if any(isinstance(a, Tensor) for a in (z, *p.values())):
+            h = concat(z, feats)
             for i in range(3):
                 h = silu(h @ p["v/w%d" % i] + p["v/b%d" % i])
         else:
-            # two buffers: the sigmoid borrows the one the next matmul writes
-            out, spare = np.empty((2, len(h), p["v/w0"].shape[1]))
+            # the input rows in the parameters' dtype, and two buffers of it:
+            # the sigmoid borrows the one the next matmul writes
+            h = np.concatenate([z, feats], axis=1, dtype=p["v/w0"].dtype)
+            shape = (2, len(h), p["v/w0"].shape[1])
+            scratch = {} if scratch is None else scratch
+            if shape not in scratch:
+                scratch[shape] = np.empty(shape, h.dtype)
+            out, spare = scratch[shape]
             for i in range(3):
                 h = np.matmul(h, p["v/w%d" % i], out=out)
                 h += p["v/b%d" % i]

@@ -1,4 +1,5 @@
 import base64
+import ctypes
 import json
 import os
 import platform
@@ -743,3 +744,19 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "run_manifest.json").read_text())
     assert doc["blas"] == {"name": None, "version": None}
+
+
+def test_manifest_records_the_blas_kernel(tmp_path, monkeypatch):
+    # the kernel OpenBLAS picked for this CPU, read from the loaded library
+    cfg = write_config(tmp_path, small_config())
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    kernel = json.loads((out / "run_manifest.json").read_text())["blas_kernel"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") == "scipy-openblas":
+        assert isinstance(kernel, str) and kernel
+    # a library without scipy-openblas's symbol writes null
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "run_manifest.json").read_text())[
+        "blas_kernel"] is None

@@ -1,10 +1,13 @@
 import concurrent.futures
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import curveflow
 from curveflow.datagen import sample_noise
 from curveflow.errors import ConfigError, DivergenceError
 from curveflow.sampling import BLAS_VARS, SolverConfig, integrate, sample_batch
@@ -156,19 +159,93 @@ def _pin_workers(monkeypatch, cpus, blas):
     return pools
 
 
+def _float32(model):
+    return {name: a.astype(np.float32) for name, a in model.params.items()}
+
+
 @pytest.mark.parametrize("cpus, blas, workers",
                          [(2, "2", 1), (2, "4", 1), (2, "1", 2), (3, "1", 3)])
 def test_blocked_sampling_equals_one_call(monkeypatch, cpus, blas, workers):
     # blocks start at multiples of 16 rows, so each row gets the bits of
-    # one whole-batch call whatever the worker count
+    # one whole-batch call of the float32 field whatever the worker count
     pools = _pin_workers(monkeypatch, cpus, blas)
     model = VelocityField(2, seed=5)
+    params = _float32(model)
     config = SolverConfig("heun", 3)
     for count in (2000, 1999, 1025, 2049):
         blocked = sample_batch(model, count, 2, seed=4, config=config)
-        whole = integrate(model, sample_noise(count, 2, 4), config)
+        whole = integrate(lambda z, t: model(z, t, params),
+                          sample_noise(count, 2, 4), config)
+        assert blocked.dtype == np.float64
         assert blocked.tobytes() == whole.tobytes()
     assert max(pools, default=1) == workers
+
+
+BLAS_THREADS_SCRIPT = """
+import sys
+from curveflow.sampling import SolverConfig, sample_batch
+from curveflow.velocity import VelocityField
+out = sample_batch(VelocityField(2, seed=5), int(sys.argv[1]), 2, seed=4,
+                   config=SolverConfig("heun", 3))
+sys.stdout.write(out.tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("count", [2000, 4000])
+def test_float32_samples_independent_of_blas_threads(count):
+    # sgemm has its own thread paths; each count runs in fresh interpreters
+    # at 1 and 2 OpenBLAS threads
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(curveflow.__file__))
+    out = [subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT,
+                           str(count)], env=dict(env, OPENBLAS_NUM_THREADS=n),
+                          capture_output=True, text=True, timeout=120,
+                          check=True).stdout for n in ("1", "2")]
+    assert len(out[0]) == 2 * 8 * 2 * count
+    assert out[0] == out[1]
+
+
+def test_float32_field_close_to_float64():
+    # the sampling network runs in float32; on a width-128 field it stays
+    # within 1e-5 of the float64 field's largest velocity
+    model = VelocityField(2, hidden=128, seed=0)
+    params = _float32(model)
+    z = 3.0 * sample_noise(1000, 2, 0)
+    for t in (0.0, 0.3, 0.77, 1.0):
+        exact, fast = model(z, t), model(z, t, params)
+        assert fast.dtype == np.float32
+        assert np.max(np.abs(fast - exact)) <= 1e-5 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("count, blocks", [(500, [(0, 500)]),
+                                           (2000, [(0, 992), (992, 2000)])])
+def test_hidden_buffers_made_once_per_block(monkeypatch, count, blocks):
+    # one pair of (rows, hidden) buffers per block, on the block's own
+    # thread, for all of its network evaluations
+    _pin_workers(monkeypatch, 2, "1")
+    made = []
+    empty = np.empty
+    monkeypatch.setattr(np, "empty", lambda shape, *args, **kwargs: (
+        made.append(shape) or empty(shape, *args, **kwargs)))
+    sample_batch(VelocityField(2, seed=5), count, 2, seed=4,
+                 config=SolverConfig("heun", 5))
+    hidden = [s for s in made if isinstance(s, tuple) and len(s) == 3]
+    assert sorted(hidden) == [(2, stop - start, 128) for start, stop in blocks]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_float32_overflow_is_divergence():
+    # weights that float64 carries to a finite ~1e40 velocity overflow
+    # float32's hidden layers; the sample reports it, not NaN rows
+    model = VelocityField(2, seed=5)
+    for name in ("v/w1", "v/w2"):
+        model.params[name] = model.params[name] * 1e20
+    config = SolverConfig("euler", 1)
+    noise = sample_noise(64, 2, 4)
+    assert np.all(np.isfinite(integrate(model, noise, config)))
+    with pytest.raises(DivergenceError) as exc:
+        sample_batch(model, 64, 2, seed=4, config=config)
+    assert exc.value.step == 0
 
 
 def _tagged_field(fast_tag, slow_tag):

@@ -11,9 +11,13 @@ so on a machine with spare cores they run on threads), ``analyze
 ``compare``, ``gradcheck``, and a 1-epoch ``train`` on 64 points of each
 other dataset kind. Every file the commands write is compared, except the
 timestamped ``run_manifest.json``, and so is each command's stdout. One
-line per artifact reads ``identical`` or ``DIFFER``; the exit status is 1
-if any artifact differs or is missing on one side, 0 if all are identical,
-and nonzero with the command's stderr if a command fails.
+line per artifact reads ``identical`` or ``DIFFER``; a differing CSV with
+one header and shape on both sides also gets the largest absolute
+difference between its numbers. The first line names the BLAS kernel each
+side's ``train`` recorded in its manifest, since the bytes hold for one
+kernel. The exit status is 1 if any artifact differs or is missing on one
+side, 0 if all are identical, and nonzero with the command's stderr if a
+command fails.
 """
 
 import json
@@ -87,7 +91,31 @@ def run_tree(tree, rundir):
                 path = os.path.join(dirpath, filename)
                 with open(path, "rb") as fh:
                     artifacts[os.path.relpath(path, rundir)] = fh.read()
-    return artifacts
+    with open(os.path.join(rundir, "train", "run_manifest.json")) as fh:
+        kernel = json.load(fh).get("blas_kernel", "not recorded")
+    return artifacts, kernel
+
+
+def max_difference(base, new):
+    """The largest |x - y| over the cells of two CSVs, or None when their
+    headers or shapes differ, or a cell that is not a number differs."""
+    rows = [[line.split(",") for line in side.decode().splitlines()]
+            for side in (base, new)]
+    if (rows[0][:1] != rows[1][:1]
+            or list(map(len, rows[0])) != list(map(len, rows[1]))):
+        return None
+    worst = 0.0
+    for row_a, row_b in zip(rows[0][1:], rows[1][1:]):
+        for x, y in zip(row_a, row_b):
+            if x != y:
+                try:
+                    diff = abs(float(x) - float(y))
+                except ValueError:
+                    return None
+                if diff != diff:  # NaN on one side only
+                    return None
+                worst = max(worst, diff)
+    return worst
 
 
 def main(argv):
@@ -98,12 +126,18 @@ def main(argv):
         for side, tree in zip(("base", "new"), argv):
             os.mkdir(os.path.join(tmp, side))
             sides.append(run_tree(tree, os.path.join(tmp, side)))
-    base, new = sides
+    (base, base_kernel), (new, new_kernel) = sides
+    print("BLAS kernel: base %s, new %s" % (base_kernel, new_kernel))
     same = True
     for name in sorted(base.keys() | new.keys()):
         ok = name in base and base[name] == new.get(name)
         same = same and ok
-        print("%-9s %s" % ("identical" if ok else "DIFFER", name))
+        diff = (max_difference(base[name], new[name])
+                if not ok and name in base and name in new
+                and name.endswith(".csv") else None)
+        print("%-9s %s%s" % ("identical" if ok else "DIFFER", name,
+                             "" if diff is None else
+                             " (max abs difference %.3g)" % diff))
     return 0 if same else 1
 
 
