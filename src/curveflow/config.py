@@ -2,8 +2,8 @@
 
 Config floats are written as shortest round-trip reprs, checkpoint
 parameters as base64 little-endian float64 bytes, so a reload reproduces
-every 64-bit value exactly. Unknown config fields are rejected, and so is
-a value whose JSON type does not fit its field's declared type.
+every 64-bit value exactly. Unknown config or checkpoint fields are
+rejected, as is a value whose JSON type does not fit its field's type.
 """
 
 import base64
@@ -86,8 +86,8 @@ class ExperimentConfig:
                     check_seed(section.seed, f.name + ".seed")
         check_seed(self.data.seed + 1, "data.seed + 1")  # diagnostics' noise
         for lam in self.lambda_grid:
-            if lam < 0:
-                raise ConfigError("lambda_grid entries must be >= 0")
+            if not 0 <= lam < math.inf:
+                raise ConfigError("lambda_grid entries must be finite and >= 0")
         return self
 
 
@@ -201,6 +201,10 @@ def load_checkpoint(path):
     for fieldname in ("config", "step", "params"):
         if fieldname not in doc:
             raise ConfigError("missing field: %s" % fieldname)
+    unknown = set(doc) - {"format_version", "config", "step", "params"}
+    if unknown:
+        raise ConfigError("unknown field(s) in checkpoint: %s"
+                          % ", ".join(sorted(unknown)))
     try:
         config = config_from_dict(doc["config"])
         params = ParameterSet({name: _decode_param(name, entry) for name, entry

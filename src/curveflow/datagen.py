@@ -1,9 +1,10 @@
 """Seeded synthetic 2D datasets and the Gaussian noise source.
 
 All generators are pure functions of their spec: randomness comes from a
-counter-based Philox stream keyed by the seed, and normals are produced by
-the Box-Muller transform on Philox uniforms, so outputs are identical
-across runs and platforms.
+counter-based Philox stream keyed by the seed, and normals are that
+stream's own ``standard_normal`` (numpy's ziggurat, whose few libm calls
+are scalar), so outputs are identical across runs and do not depend on
+numpy's SIMD dispatch.
 """
 
 import math
@@ -45,25 +46,13 @@ def philox(seed):
     return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
-def _box_muller(rng, n):
-    """n standard normals from Philox uniforms."""
-    pairs = (n + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # in (0, 1], keeps log finite
-    u2 = rng.random(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2),
-                        r * np.sin(2.0 * np.pi * u2)])
-    return z[:n]
-
-
 def sample_noise(count, dim, seed):
     """i.i.d. standard-normal points, shape (count, dim)."""
     if count < 1:
         raise ConfigError("count must be >= 1")
     if dim < 1:
         raise ConfigError("dim must be >= 1")
-    rng = philox(seed)
-    return _box_muller(rng, count * dim).reshape(count, dim)
+    return philox(seed).standard_normal((count, dim))
 
 
 def _gaussians8(rng, n):
@@ -106,11 +95,11 @@ KINDS = tuple(_GENERATORS)
 
 def generate(spec):
     """Points for the spec, shape (count, 2): the kind's shape draws, then
-    noise_std times Box-Muller normals from the same Philox stream."""
+    noise_std times ``standard_normal`` draws from the same Philox stream."""
     spec.validate()
     rng, n = philox(spec.seed), spec.count
     pts = _GENERATORS[spec.kind](rng, n)
-    return pts + spec.noise_std * _box_muller(rng, 2 * n).reshape(n, 2)
+    return pts + spec.noise_std * rng.standard_normal((n, 2))
 
 
 def generate_split(spec):

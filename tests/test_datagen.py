@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import curveflow
 from curveflow.datagen import (DatasetSpec, KINDS, export_csv, generate,
                                generate_split, sample_noise)
 from curveflow.errors import ConfigError
@@ -90,6 +96,41 @@ def test_noise_deterministic_and_validated():
         sample_noise(0, 2, 0)
     with pytest.raises(ConfigError):
         sample_noise(10, 0, 0)
+
+
+DISPATCH_SCRIPT = """
+import hashlib, json
+from numpy._core._multiarray_umath import __cpu_features__
+from curveflow.datagen import KINDS, DatasetSpec, generate, sample_noise
+draws = {"noise": sample_noise(2000, 2, 0)}
+for kind in KINDS:
+    for noise_std in (0.1, 1.0):
+        draws["%s@%g" % (kind, noise_std)] = generate(
+            DatasetSpec(kind, 2000, seed=0, noise_std=noise_std))
+print(json.dumps({"x86_v4": __cpu_features__.get("X86_V4", False),
+                  **{k: hashlib.sha256(v.tobytes()).hexdigest()
+                     for k, v in draws.items()}}))
+"""
+
+
+def test_draws_independent_of_numpy_dispatch():
+    # the data and the noise have the same bytes whether numpy dispatches
+    # its AVX-512 loops, its AVX2 ones or neither; each setting runs in a
+    # fresh interpreter
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    if not umath.__cpu_features__.get("X86_V4"):
+        pytest.skip("this CPU has no X86_V4 (AVX-512) group to disable")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(curveflow.__file__))
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", DISPATCH_SCRIPT], env=dict(env, **extra),
+        capture_output=True, text=True, timeout=120, check=True).stdout)
+        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+                      {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4"})]
+    assert [run.pop("x86_v4") for run in runs] == [True, False, False]
+    assert len(runs[0]) == 1 + 2 * len(KINDS)
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_export_csv_round_trip(tmp_path):

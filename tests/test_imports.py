@@ -1,4 +1,5 @@
-"""Every name imported in src/, tests/ and demos/ is read in its own file.
+"""Every name imported in src/, tests/, demos/ and tools/ is read in its own
+file.
 
 A stdlib ``ast`` scan. ``__init__.py`` files are skipped: their imports are
 the package's re-exports.
@@ -11,7 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def sources():
-    for top in ("src", "tests", "demos"):
+    for top in ("src", "tests", "demos", "tools"):
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
             for name in sorted(files):
                 if name.endswith(".py") and name != "__init__.py":
