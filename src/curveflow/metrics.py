@@ -18,7 +18,8 @@ from .datagen import philox
 from .errors import ConfigError, DegenerateTrajectoryError
 from .losses import determinant_profile
 
-MAX_PAIRWISE = 5000  # above this, pairwise sums use a seeded subsample
+MAX_PAIRWISE = 5000  # above this, a seeded subsample caps the O(n^2) time
+ROW_BLOCK = 256  # rows of the first set whose distances are held at once
 SPEED_EPS = 1e-18  # below this, the curvature denominator is treated as zero
 
 
@@ -36,9 +37,28 @@ def _maybe_subsample(arr, rng):
     return arr[np.sort(idx)]
 
 
+def _mean_distance(x, y):
+    """Mean Euclidean distance over all pairs of rows of x and y, each one as
+    scipy's cdist computes it, held one ROW_BLOCK-row block of x at a time;
+    the block sums add up in block order."""
+    diff, sq = np.zeros((2, min(ROW_BLOCK, len(x)), len(y)))
+    columns, total = np.ascontiguousarray(y.T), 0.0
+    for start in range(0, len(x), ROW_BLOCK):
+        block = x[start:start + ROW_BLOCK]
+        d, s = diff[:len(block)], sq[:len(block)]
+        for k in range(x.shape[1]):
+            out = d if k else s  # the first squares go straight into s
+            np.copyto(out, block[:, k:k + 1])  # then -=; x - y is ~1.6x slower
+            out -= columns[k]
+            out *= out
+            if k:
+                s += d
+        total += np.sqrt(s, out=s).sum()
+    return total / (len(x) * len(y))
+
+
 def energy_distance(a, b, seed=0):
     """2 E||a-b|| - E||a-a'|| - E||b-b'||, clamped at zero."""
-    from scipy.spatial.distance import cdist  # scipy loads on first use only
     a = _points("A", a)
     b = _points("B", b)
     if a.shape[1] != b.shape[1]:
@@ -46,10 +66,8 @@ def energy_distance(a, b, seed=0):
     rng = philox(seed)
     a = _maybe_subsample(a, rng)
     b = _maybe_subsample(b, rng)
-    ab = cdist(a, b).mean()
-    aa = cdist(a, a).mean()
-    bb = cdist(b, b).mean()
-    return max(2.0 * ab - aa - bb, 0.0)
+    return max(2.0 * _mean_distance(a, b) - _mean_distance(a, a)
+               - _mean_distance(b, b), 0.0)
 
 
 def sliced_wasserstein(a, b, projections=64, seed=0):

@@ -714,9 +714,9 @@ print(json.dumps(loaded))
 """
 
 
-def test_scipy_is_loaded_only_by_a_distance(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     # importing scipy.spatial costs a fresh command more than numpy and
-    # curveflow together; only energy_distance, so only compare, needs it.
+    # curveflow together, and src/ computes its distances with numpy alone.
     # concurrent.futures (~3 ms) waits for a sample_batch with two workers,
     # which 20 rows in one block never start
     cfg = write_config(tmp_path, small_config())
@@ -726,7 +726,7 @@ def test_scipy_is_loaded_only_by_a_distance(tmp_path):
     assert proc.returncode == 0, proc.stderr
     *cold, after_compare = json.loads(proc.stdout.splitlines()[-1])
     assert cold == [[]] * 4  # import, train, sample, analyze
-    assert "scipy.spatial.distance" in after_compare
+    assert [m for m in after_compare if m.split(".")[0] == "scipy"] == []
 
 
 def test_manifest_records_the_environment(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ from curveflow.losses import determinant_integral, total_loss_graph
 from curveflow.velocity import VelocityField
 
 HALF_PI = np.pi / 2
+
+
+def mean_dist(x, y):
+    """The mean pairwise distance from the whole distance matrix."""
+    return np.linalg.norm(x[:, None] - y[None], axis=2).mean()
 
 
 def test_energy_distance_identity():
@@ -56,9 +62,6 @@ def test_energy_distance_subsamples_large_sets(monkeypatch):
     a = rng.standard_normal((60, 2))
     b = rng.standard_normal((60, 2)) + 1.0
 
-    def mean_dist(x, y):
-        return np.linalg.norm(x[:, None] - y[None], axis=2).mean()
-
     for seed in (0, 3):
         draws = philox(seed)
         sa = a[np.sort(draws.choice(60, size=50, replace=False))]
@@ -69,6 +72,36 @@ def test_energy_distance_subsamples_large_sets(monkeypatch):
         assert got == pytest.approx(by_hand, rel=1e-12)
         assert energy_distance(a, b, seed=seed) == got
     assert energy_distance(a, b, seed=0) != energy_distance(a, b, seed=3)
+
+
+@pytest.mark.parametrize("m", [300, 2000])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600, 2000])
+def test_blocked_mean_distance_matches_the_whole_matrix(n, m):
+    # one block of rows sums as the whole matrix does, bit for bit; past
+    # one block, the block sums add up in another order
+    rng = np.random.default_rng(n * m)
+    x = rng.standard_normal((n, 2))
+    y = rng.standard_normal((m, 2)) + 0.5
+    got = metrics._mean_distance(x, y)
+    if n <= metrics.ROW_BLOCK:
+        assert got == mean_dist(x, y)
+    else:
+        assert got == pytest.approx(mean_dist(x, y), rel=1e-12)
+
+
+def test_energy_distance_memory_is_bounded_by_the_block():
+    # the whole 2000 x 2000 matrix is 30.5 MiB; two buffers of 256 rows
+    # against 2000 are 7.8 MiB
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((2000, 2))
+    b = rng.standard_normal((2000, 2))
+    tracemalloc.start()
+    try:
+        energy_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20
 
 
 def test_sliced_wasserstein_identity_and_symmetry():
